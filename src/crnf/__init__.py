@@ -2,7 +2,7 @@
 truncated power series, CR invariant tensors, and formal normal forms at
 generic Levi degeneracies."""
 
-from .series import DEFAULT_TOL, STORE_TOL, HoloSeries, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
 from .linalg import takagi, TakagiResult, hermitian_eig, I_rs, is_OR, is_hatU
 from .fischer import fischer_decompose, fischer_decompose2, mons, type_basis
 from .hypersurfaces import (

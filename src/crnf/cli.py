@@ -20,7 +20,7 @@ import numpy as np
 from .series import MixedSeries
 from .hypersurfaces import Hypersurface, GenericSubmanifold
 from .parser import ParseError, parse_expression
-from .linalg import matrix_to_json, matrix_from_json, takagi
+from .linalg import matrix_to_json, takagi
 from .tensors import tensors_report
 from .partial_nf import partial_nf, aut_dim_bound
 from .full_nf import NormalizationP, NormalFormError, normal_form, detect_model
@@ -231,7 +231,6 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--trunc", type=int, default=8)
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("invariants", help="nondegeneracy order and tensors")

@@ -15,12 +15,12 @@ part), for use in invariance testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .series import DEFAULT_TOL, HoloSeries
+from .series import DEFAULT_TOL, MixedSeries
 from .fischer import mons
 from .hypersurfaces import Hypersurface
 from .maps import FormalMap
@@ -48,7 +48,10 @@ def invariants_signature(M: Hypersurface, tol=DEFAULT_TOL):
     """(r, s, case, data): signature of the third-order invariants, where
     data is the invariant tuple lambda (semidefinite cases) or the cubic
     coefficient matrix R (indefinite generic case), or None."""
-    res = partial_nf(M, tol)
+    return _signature(partial_nf(M, tol))
+
+
+def _signature(res):
     if res.lam is not None:
         data = tuple(round(float(x), 9) for x in res.lam)
     elif res.R is not None:
@@ -113,15 +116,16 @@ class EquivalenceReport:
         return out
 
 
-def _to_model(M: Hypersurface, tol):
-    """Bring M to third-order model form if it is not there already."""
+def _to_model(M: Hypersurface, res, tol):
+    """M if it is in third-order model form, else the output of its
+    third-order normalization res = partial_nf(M)."""
     try:
         detect_model(M, tol)
         return M
     except ValueError:
-        from .partial_nf import generic_partial_nf
-
-        return generic_partial_nf(M, tol).M_out
+        if res.case not in ("generic", "semidef_iii"):
+            raise ValueError("hypersurface does not have a generic Levi degeneracy")
+        return res.M_out
 
 
 def equivalent_to_degree(
@@ -139,8 +143,9 @@ def equivalent_to_degree(
     normal forms with differing normalizations are inconclusive (the
     report says so) since equivalence quantifies over the normalization
     choice."""
-    sig1 = invariants_signature(M, tol)
-    sig2 = invariants_signature(M2, tol)
+    res1 = partial_nf(M, tol)
+    res2 = partial_nf(M2, tol)
+    sig1, sig2 = _signature(res1), _signature(res2)
     if degree is None:
         degree = min(M.trunc, M2.trunc)
     if not _signatures_match(sig1, sig2, tol):
@@ -151,15 +156,15 @@ def equivalent_to_degree(
             degree=degree,
             note="invariant signatures differ; normal forms not compared",
         )
-    A = _to_model(M, tol)
-    B = _to_model(M2, tol)
+    A = _to_model(M, res1, tol)
+    B = _to_model(M2, res2, tol)
     if P is None:
         P = NormalizationP.identity(M.n)
     if P2 is None:
         P2 = NormalizationP.identity(M2.n)
-    res1 = normal_form(A, P, degree, tol)
-    res2 = normal_form(B, P2, degree, tol)
-    dev = (res1.N - res2.N).norm()
+    N1 = normal_form(A, P, degree, tol).N
+    N2 = normal_form(B, P2, degree, tol).N
+    dev = (N1 - N2).norm()
     match = dev <= max(tol, 1e-7)
     note = (
         "normal forms agree at the given normalizations"
@@ -277,7 +282,7 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
     fs = list(ident.fs)
     zero = (0,) * n
     for b in range(n - 1):
-        extra = HoloSeries.zero(n, trunc)
+        extra = MixedSeries.zero(n, trunc)
         for _ in range(3):
             j = int(rng.integers(0, trunc // 2 + 1))
             d = int(rng.integers(0, trunc - 2 * j + 1)) if trunc - 2 * j >= 0 else 0
@@ -291,17 +296,17 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
                     continue
                 if alpha == b:
                     coeff = 1j * coeff.imag
-            extra = extra + HoloSeries.monomial(n, trunc, a, j, coeff)
+            extra = extra + MixedSeries.monomial(n, trunc, a, zero, j, coeff)
         fs[b] = fs[b] + extra
-    extra = HoloSeries.zero(n, trunc)
+    extra = MixedSeries.zero(n, trunc)
     for _ in range(3):
         j = int(rng.integers(0, trunc // 2 + 1))
         d = int(rng.integers(0, max(trunc - 2 * j, 0) + 1))
         a = tuple(rng.multinomial(d, [1.0 / n] * n))
         if sum(a) + 2 * j < 2 or (sum(a) == 2 and j == 0):
             continue
-        extra = extra + HoloSeries.monomial(
-            n, trunc, a, j, scale * (rng.normal() + 1j * rng.normal())
+        extra = extra + MixedSeries.monomial(
+            n, trunc, a, zero, j, scale * (rng.normal() + 1j * rng.normal())
         )
     fs[n - 1] = fs[n - 1] + extra
     g = ident.g
@@ -311,8 +316,8 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
         a = tuple(rng.multinomial(d, [1.0 / n] * n))
         if sum(a) + 2 * j < 4:
             continue
-        g = g + HoloSeries.monomial(
-            n, trunc, a, j, scale * (rng.normal() + 1j * rng.normal())
+        g = g + MixedSeries.monomial(
+            n, trunc, a, zero, j, scale * (rng.normal() + 1j * rng.normal())
         )
     T = FormalMap(fs, g)
     assert check_G0(T, tol)

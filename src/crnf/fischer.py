@@ -13,8 +13,6 @@ inert for these operators, so mixed inputs are processed slice by slice.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .series import DEFAULT_TOL, MixedSeries
@@ -82,26 +80,17 @@ def _slices(F: MixedSeries):
     return {m: MixedSeries(n, F.trunc, t, _normalized=True) for m, t in by_m.items()}
 
 
-def _op_matrix(p, src_basis, dst_basis, n, trunc):
-    """Matrix of pbar(grad,gradbar) from src slice to dst slice."""
-    cols = []
-    for key in src_basis:
-        e = MixedSeries(n, trunc, {key: 1.0}, _normalized=True)
-        cols.append(vec_of(apply_pbar(p, e), dst_basis))
-    if not cols:
-        return np.zeros((len(dst_basis), 0), dtype=complex)
-    return np.column_stack(cols)
-
-
-def _mult_matrix(p, src_basis, dst_basis, n, trunc):
-    """Matrix of multiplication by p from src slice to dst slice."""
-    cols = []
-    for key in src_basis:
-        e = MixedSeries(n, trunc, {key: 1.0}, _normalized=True)
-        cols.append(vec_of(p * e, dst_basis))
-    if not cols:
-        return np.zeros((len(dst_basis), 0), dtype=complex)
-    return np.column_stack(cols)
+def op_matrix(op, src_basis, dst_basis, n, trunc):
+    """Matrix of a series operator (a callable on MixedSeries) from the
+    src monomial slice to the dst slice."""
+    cols = np.zeros((len(dst_basis), len(src_basis)), dtype=complex)
+    index = {key: i for i, key in enumerate(dst_basis)}
+    for j, key in enumerate(src_basis):
+        img = op(MixedSeries(n, trunc, {key: 1.0}, _normalized=True))
+        for k, v in img.coeffs.items():
+            if k in index:
+                cols[index[k], j] = v
+    return cols
 
 
 def fischer_decompose(F: MixedSeries, p: MixedSeries, tol=DEFAULT_TOL):
@@ -124,8 +113,8 @@ def fischer_decompose(F: MixedSeries, p: MixedSeries, tol=DEFAULT_TOL):
     for m, Fm in _slices(F).items():
         bas_F = type_basis(n, k, l, m)
         bas_G = type_basis(n, k - a, l - b, m)
-        Mp = _mult_matrix(p, bas_G, bas_F, n, F.trunc)
-        Md = _op_matrix(p, bas_F, bas_G, n, F.trunc)
+        Mp = op_matrix(lambda e: p * e, bas_G, bas_F, n, F.trunc)
+        Md = op_matrix(lambda e: apply_pbar(p, e), bas_F, bas_G, n, F.trunc)
         A = Md @ Mp  # square, positive definite in the Fischer metric
         rhs = Md @ vec_of(Fm, bas_F)
         g = np.linalg.solve(A, rhs)
@@ -158,15 +147,14 @@ def fischer_decompose2(F: MixedSeries, p: MixedSeries, q: MixedSeries, tol=DEFAU
         bas_1 = type_basis(n, k - pa, l - pb, m)
         bas_2 = type_basis(n, k - qa, l - qb, m)
         dF, d1, d2 = len(bas_F), len(bas_1), len(bas_2)
-        Mp = _mult_matrix(p, bas_1, bas_F, n, F.trunc)
-        Mq = _mult_matrix(q, bas_2, bas_F, n, F.trunc)
-        Dq = _op_matrix(q, bas_F, bas_2, n, F.trunc)
-        Dp = _op_matrix(p, bas_F, bas_1, n, F.trunc)
+        Mp = op_matrix(lambda e: p * e, bas_1, bas_F, n, F.trunc)
+        Mq = op_matrix(lambda e: q * e, bas_2, bas_F, n, F.trunc)
+        Dq = op_matrix(lambda e: apply_pbar(q, e), bas_F, bas_2, n, F.trunc)
+        Dp = op_matrix(lambda e: apply_pbar(p, e), bas_F, bas_1, n, F.trunc)
         # S: u (same slice as G1 source after q-multiplication) -> bas_1
         bas_u = type_basis(n, k - pa - qa, l - pb - qb, m) if (k >= pa + qa and l >= pb + qb) else []
         if bas_u:
-            Mq_u = _mult_matrix(q, bas_u, [key for key in type_basis(n, k - pa, l - pb, m)], n, F.trunc)
-            S = -Dp @ _mult_matrix(q, bas_u, bas_F, n, F.trunc)
+            S = -Dp @ op_matrix(lambda e: q * e, bas_u, bas_F, n, F.trunc)
         else:
             S = np.zeros((d1, 0), dtype=complex)
         du = S.shape[1]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .series import DEFAULT_TOL, STORE_TOL, HoloSeries, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
 from .fischer import mons, type_basis
 from .hypersurfaces import (
     Hypersurface,
@@ -44,7 +44,6 @@ from .normal_space import (
     eps_signs,
     is_in_normal_space,
     normal_slice_real_basis,
-    normal_space_report,
     project_normal,
 )
 
@@ -129,16 +128,17 @@ class NormalizationP:
 
     def to_map(self, trunc) -> FormalMap:
         n = self.n
-        zs = [HoloSeries.variable(n, trunc, "z", j + 1) for j in range(n)]
-        w = HoloSeries.variable(n, trunc, "w")
+        zero = (0,) * n
+        zs = [MixedSeries.variable(n, trunc, "z", j + 1) for j in range(n)]
+        w = MixedSeries.variable(n, trunc, "s")
         Az = []
         for b in range(n - 1):
-            comp = HoloSeries.zero(n, trunc)
+            comp = MixedSeries.zero(n, trunc)
             for j in range(n - 1):
                 if abs(self.A[b, j]) > STORE_TOL:
                     comp = comp + self.A[b, j] * zs[j]
             Az.append(comp)
-        sigma = HoloSeries.zero(n, trunc)
+        sigma = MixedSeries.zero(n, trunc)
         for b in range(n - 1):
             if abs(self.B[b]) > STORE_TOL:
                 sigma = sigma + np.conj(self.B[b]) * Az[b]
@@ -148,8 +148,8 @@ class NormalizationP:
             for idx, J in enumerate(mons(n, 3)):
                 v = self.a3[b, idx]
                 if abs(v) > STORE_TOL:
-                    f = f + HoloSeries.monomial(n, trunc, J, 0, v)
-            lin = HoloSeries.zero(n, trunc)
+                    f = f + MixedSeries.monomial(n, trunc, J, zero, 0, v)
+            lin = MixedSeries.zero(n, trunc)
             for a in range(b):
                 if abs(self.bl[b, a]) > STORE_TOL:
                     lin = lin + self.bl[b, a] * Az[a]
@@ -161,7 +161,7 @@ class NormalizationP:
         for idx, I in enumerate(mons(n, 2)):
             v = self.d2[idx]
             if abs(v) > STORE_TOL:
-                fn = fn + HoloSeries.monomial(n, trunc, I, 0, v)
+                fn = fn + MixedSeries.monomial(n, trunc, I, zero, 0, v)
         fs.append(fn)
         g = float(self.c) * w + 2j * (sigma * w)
         return FormalMap(fs, g)
@@ -239,18 +239,18 @@ def check_G0(T: FormalMap, tol=DEFAULT_TOL):
         if mdb is not None and mdb < 3:
             return False
         for J in mons(n, 3):
-            if abs(fs[b].coeff(J, 0)) > tol:
+            if abs(fs[b].coeff(J, zero, 0)) > tol:
                 return False
         for a in range(n - 1):
             e = [0] * n
             e[a] = 1
-            v = fs[b].coeff(tuple(e), 1)
+            v = fs[b].coeff(tuple(e), zero, 1)
             if a < b and abs(v) > tol:
                 return False
             if a == b and abs(v.real) > tol:
                 return False
     for I in mons(n, 2):
-        if abs(fs[n - 1].coeff(I, 0)) > tol:
+        if abs(fs[n - 1].coeff(I, zero, 0)) > tol:
             return False
     return True
 
@@ -382,7 +382,7 @@ class _LSystem:
                 m = m2 // 2
                 basis = type_basis(n, k, l, m)
                 d = len(basis)
-                Bmat = normal_slice_real_basis(n, r, self.R, k, l, m, trunc)
+                Bmat = normal_slice_real_basis(n, r, self.R, k, l, m)
                 for col in range(Bmat.shape[1]):
                     coeffs = {}
                     for i, key in enumerate(basis):
@@ -437,8 +437,8 @@ def _get_system(n, r, R, nu) -> _LSystem:
 class GradedSolution:
     nu: int
     fp: list
-    fn: HoloSeries
-    g: HoloSeries
+    fn: MixedSeries
+    g: MixedSeries
     N: MixedSeries
     sigma_min: float
     sigma_max: float
@@ -449,11 +449,11 @@ class GradedSolution:
         n = self.fn.n
         ident = FormalMap.identity(n, trunc)
         fs = [
-            ident.fs[b] + HoloSeries(n, trunc, self.fp[b].coeffs)
+            ident.fs[b] + MixedSeries(n, trunc, self.fp[b].coeffs)
             for b in range(n - 1)
         ]
-        fs.append(ident.fs[n - 1] + HoloSeries(n, trunc, self.fn.coeffs))
-        g = ident.g + HoloSeries(n, trunc, self.g.coeffs)
+        fs.append(ident.fs[n - 1] + MixedSeries(n, trunc, self.fn.coeffs))
+        g = ident.g + MixedSeries(n, trunc, self.g.coeffs)
         return FormalMap(fs, g, check=False)
 
 
@@ -482,7 +482,7 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
         x[: sys_.n_cols_start], sys_.unknowns
     ):
         c = val if part == "x" else 1j * val
-        key = a + (j,)
+        key = a + (0,) * n + (j,)
         if slot == "fp":
             fp_terms[comp][key] = fp_terms[comp].get(key, 0.0) + c
         elif slot == "fn":
@@ -496,7 +496,7 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
         if abs(val) <= STORE_TOL:
             continue
         basis = type_basis(n, k, l, m)
-        Bmat = normal_slice_real_basis(n, r, R, k, l, m, nu)
+        Bmat = normal_slice_real_basis(n, r, R, k, l, m)
         d = len(basis)
         for i, key in enumerate(basis):
             cval = val * (Bmat[i, col] + 1j * Bmat[d + i, col])
@@ -507,9 +507,9 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
                     N_coeffs[ck] = N_coeffs.get(ck, 0.0) + np.conj(cval)
     return GradedSolution(
         nu=nu,
-        fp=[HoloSeries(n, trunc, t) for t in fp_terms],
-        fn=HoloSeries(n, trunc, fn_terms),
-        g=HoloSeries(n, trunc, g_terms),
+        fp=[MixedSeries(n, trunc, t) for t in fp_terms],
+        fn=MixedSeries(n, trunc, fn_terms),
+        g=MixedSeries(n, trunc, g_terms),
         N=MixedSeries(n, trunc, N_coeffs),
         sigma_min=sys_.sigma_min,
         sigma_max=sys_.sigma_max,
@@ -691,12 +691,13 @@ def factor_map(Phi: FormalMap, tol=DEFAULT_TOL):
         1.0, np.linalg.norm(Afull)
     ) or np.linalg.norm(Afull[: n - 1, n - 1]) > tol * max(1.0, np.linalg.norm(Afull)):
         raise ValueError("linear part does not preserve the degeneracy splitting")
-    B = np.array([f.coeff((0,) * n, 1) for f in Phi.fs[: n - 1]], dtype=complex)
+    zero = (0,) * n
+    B = np.array([f.coeff(zero, zero, 1) for f in Phi.fs[: n - 1]], dtype=complex)
     a3 = np.zeros((n - 1, len(mons(n, 3))), dtype=complex)
     for b in range(n - 1):
         for idx, J in enumerate(mons(n, 3)):
-            a3[b, idx] = Phi.fs[b].coeff(J, 0)
-    d2 = np.array([Phi.fs[n - 1].coeff(I, 0) for I in mons(n, 2)], dtype=complex)
+            a3[b, idx] = Phi.fs[b].coeff(J, zero, 0)
+    d2 = np.array([Phi.fs[n - 1].coeff(I, zero, 0) for I in mons(n, 2)], dtype=complex)
     bl = np.zeros((n - 1, n - 1), dtype=complex)
     cdiag = np.zeros(n - 1)
     AinvT = np.linalg.inv(A).T
@@ -705,7 +706,7 @@ def factor_map(Phi: FormalMap, tol=DEFAULT_TOL):
         for a in range(n - 1):
             e = [0] * n
             e[a] = 1
-            mvec[a] = Phi.fs[b].coeff(tuple(e), 1)
+            mvec[a] = Phi.fs[b].coeff(tuple(e), zero, 1)
         t = AinvT @ mvec
         for a in range(b):
             bl[b, a] = t[a]

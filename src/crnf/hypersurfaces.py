@@ -225,16 +225,3 @@ def model_D(n, trunc, lam):
     """Model with R = diag(lam) (lam has n-1 entries)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     return model_hypersurface(n, trunc, np.diag(lam))
-
-
-def model_no_gamma(n, trunc, lam):
-    """Degenerate-but-not-generic model: the (z^n)^2 cubic term is absent."""
-    z, zb = _zvars(n, trunc)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    cub = MixedSeries.zero(n, trunc)
-    for j in range(n - 1):
-        if abs(lam[j]) > STORE_TOL:
-            cub = cub + lam[j] * z[j] * z[j]
-    mixed = zb[n - 1] * cub
-    phi = hermitian_quadric(n, trunc, r=n - 1) + mixed + mixed.conj()
-    return Hypersurface(phi)

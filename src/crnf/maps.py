@@ -3,6 +3,7 @@
 A :class:`FormalMap` is (z, w) -> (f(z,w), g(z,w)) with f an n-tuple of
 truncated holomorphic series and g a holomorphic series whose weighted
 order is >= 2 (the map preserves the complex tangent space {w = 0} at 0).
+Each component is a MixedSeries with no zbar terms, w in the s slot.
 Such a map is formally invertible iff A = df/dz(0) is invertible and the
 w-coefficient c of g is nonzero.
 
@@ -15,14 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import DEFAULT_TOL, STORE_TOL, HoloSeries, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
 from .hypersurfaces import Hypersurface
 
 
 class FormalMap:
     __slots__ = ("n", "trunc", "fs", "g")
 
-    def __init__(self, fs, g: HoloSeries, check=True):
+    def __init__(self, fs, g: MixedSeries, check=True):
         fs = list(fs)
         n = len(fs)
         self.n = n
@@ -31,13 +32,13 @@ class FormalMap:
         self.trunc = min([f.trunc for f in fs] + [g.trunc])
         if check:
             zero = (0,) * n
-            for f in fs:
-                if f.n != n or g.n != n:
+            for f in fs + [g]:
+                if f.n != n:
                     raise ValueError("component series live in different spaces")
-                if abs(f.coeff(zero, 0)) > STORE_TOL:
+                if any(any(k[n : 2 * n]) for k in f.coeffs):
+                    raise ValueError("map components cannot depend on zbar")
+                if abs(f.coeff(zero, zero, 0)) > STORE_TOL:
                     raise ValueError("map must fix the origin")
-            if abs(g.coeff(zero, 0)) > STORE_TOL:
-                raise ValueError("map must fix the origin")
             md = g.min_wdeg()
             if md is not None and md < 2:
                 raise ValueError("w-component must have weighted order >= 2")
@@ -46,8 +47,8 @@ class FormalMap:
 
     @classmethod
     def identity(cls, n, trunc):
-        fs = [HoloSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
-        return cls(fs, HoloSeries.variable(n, trunc, "w"))
+        fs = [MixedSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
+        return cls(fs, MixedSeries.variable(n, trunc, "s"))
 
     @classmethod
     def linear(cls, A, c, trunc):
@@ -56,23 +57,24 @@ class FormalMap:
         n = A.shape[0]
         fs = []
         for i in range(n):
-            f = HoloSeries.zero(n, trunc)
+            f = MixedSeries.zero(n, trunc)
             for j in range(n):
                 if abs(A[i, j]) > STORE_TOL:
-                    f = f + A[i, j] * HoloSeries.variable(n, trunc, "z", j + 1)
+                    f = f + A[i, j] * MixedSeries.variable(n, trunc, "z", j + 1)
             fs.append(f)
-        return cls(fs, complex(c) * HoloSeries.variable(n, trunc, "w"))
+        return cls(fs, complex(c) * MixedSeries.variable(n, trunc, "s"))
 
     def jacobian0(self):
         """(A, c): A[i,j] = df^i/dz^j(0), c = dg/dw(0)."""
         n = self.n
+        zero = (0,) * n
         A = np.zeros((n, n), dtype=complex)
         for i, f in enumerate(self.fs):
             for j in range(n):
                 e = [0] * n
                 e[j] = 1
-                A[i, j] = f.coeff(tuple(e), 0)
-        c = complex(self.g.coeff((0,) * n, 1))
+                A[i, j] = f.coeff(tuple(e), zero, 0)
+        c = complex(self.g.coeff(zero, zero, 1))
         return A, c
 
     def weight2_zform(self):
@@ -84,7 +86,7 @@ class FormalMap:
                 e = [0] * n
                 e[i] += 1
                 e[j] += 1
-                v = self.g.coeff(tuple(e), 0)
+                v = self.g.coeff(tuple(e), (0,) * n, 0)
                 if i == j:
                     Q[i, i] = v
                 else:
@@ -92,17 +94,13 @@ class FormalMap:
                     Q[j, i] = 0.5 * v
         return Q
 
-    def is_invertible(self, tol=DEFAULT_TOL):
-        A, c = self.jacobian0()
-        return abs(np.linalg.det(A)) > tol and abs(c) > tol
-
     def norm(self):
         return max([f.norm() for f in self.fs] + [self.g.norm()])
 
     def compose(self, other: "FormalMap") -> "FormalMap":
         """self o other."""
-        fs = [f.subs_holo(other.fs, other.g) for f in self.fs]
-        g = self.g.subs_holo(other.fs, other.g)
+        fs = [f.subs(z=other.fs, s=other.g) for f in self.fs]
+        g = self.g.subs(z=other.fs, s=other.g)
         return FormalMap(fs, g, check=False)
 
     def distance(self, other: "FormalMap"):
@@ -120,17 +118,17 @@ class FormalMap:
         Ainv = np.linalg.inv(A)
         Q = self.weight2_zform()
         # weighted-linear part L: z -> Az, w -> c w + z^T Q z; seed with L^{-1}
-        zs = [HoloSeries.variable(n, T, "z", j + 1) for j in range(n)]
-        w = HoloSeries.variable(n, T, "w")
+        zs = [MixedSeries.variable(n, T, "z", j + 1) for j in range(n)]
+        w = MixedSeries.variable(n, T, "s")
         s_fs = []
         for i in range(n):
-            f = HoloSeries.zero(n, T)
+            f = MixedSeries.zero(n, T)
             for j in range(n):
                 if abs(Ainv[i, j]) > STORE_TOL:
                     f = f + Ainv[i, j] * zs[j]
             s_fs.append(f)
         Qt = Ainv.T @ Q @ Ainv
-        qterm = HoloSeries.zero(n, T)
+        qterm = MixedSeries.zero(n, T)
         for i in range(n):
             for j in range(n):
                 if abs(Qt[i, j]) > STORE_TOL:
@@ -146,7 +144,7 @@ class FormalMap:
                 break
             corr_z = []
             for i in range(n):
-                ci = HoloSeries.zero(n, T)
+                ci = MixedSeries.zero(n, T)
                 for j in range(n):
                     if abs(Ainv[i, j]) > STORE_TOL:
                         ci = ci + Ainv[i, j] * dz[j]
@@ -170,8 +168,8 @@ class FormalMap:
 
     @classmethod
     def from_json_dict(cls, d):
-        fs = [HoloSeries.from_json_dict(x) for x in d["f"]]
-        return cls(fs, HoloSeries.from_json_dict(d["g"]))
+        fs = [MixedSeries.from_json_dict(x) for x in d["f"]]
+        return cls(fs, MixedSeries.from_json_dict(d["g"]))
 
     def __repr__(self):
         comps = ", ".join(str(f) for f in self.fs)
@@ -200,13 +198,14 @@ def apply_map(M: Hypersurface, T: FormalMap, tol=DEFAULT_TOL) -> Hypersurface:
     c0 = cS.real
     if abs(c0) <= tol:
         raise ValueError("degenerate w-component after inversion")
-    zvars = [MixedSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
     svar = MixedSeries.variable(n, trunc, "s")
     t = MixedSeries.zero(n, trunc)
     for _ in range(trunc + 2):
+        # evaluate S at w = s + i t; t is O(2) up to rounding, so the image
+        # checks of subs are skipped
         wimg = svar + 1j * t
-        F = [f.eval_mixed(zvars, wimg) for f in S.fs]
-        G = S.g.eval_mixed(zvars, wimg)
+        F = [f.subs(s=wimg, allow_const=True) for f in S.fs]
+        G = S.g.subs(s=wimg, allow_const=True)
         Fb = [f.conj() for f in F]
         val = -G.im_part() + M.phi.subs(z=F, zb=Fb, s=G.re_part())
         if val.norm() <= STORE_TOL:
@@ -240,17 +239,13 @@ def to_regular(M: Hypersurface, tol=DEFAULT_TOL):
         # pure (re w)-part; the change w -> w - 2i chi cancels the lowest
         # pure terms of phi
         zero = (0,) * n
-        chi_terms = {}
-        for k, v in pure.coeffs.items():
-            fac = 0.5 if k[:n] == zero else 1.0
-            chi_terms[k[:n] + (k[2 * n],)] = fac * v
-        chi = HoloSeries(n, trunc, chi_terms)
-        w = HoloSeries.variable(n, trunc, "w")
-        T = FormalMap(
-            [HoloSeries.variable(n, trunc, "z", i + 1) for i in range(n)],
-            w - 2j * chi,
-            check=False,
+        chi = MixedSeries(
+            n,
+            trunc,
+            {k: (0.5 if k[:n] == zero else 1.0) * v for k, v in pure.coeffs.items()},
         )
+        ident = FormalMap.identity(n, trunc)
+        T = FormalMap(ident.fs, ident.g - 2j * chi, check=False)
         cur = apply_map(cur, T, tol)
         total = T.compose(total)
     return cur, total

@@ -26,8 +26,7 @@ s-powers handled slice by slice):
 These clauses were validated computationally: together with the
 second-order-jet gauge conditions on the transformation they make the
 degree-by-degree normalization system square and invertible (see
-full_nf).  Each clause builder can be overridden through the
-``clauses`` argument of the public functions.
+full_nf).
 
 All constructions are finite-dimensional linear algebra on coefficient
 slices.  Real bases are kept in "stacked" coordinates (Re parts then Im
@@ -42,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
-from .fischer import mons, type_basis
+from .fischer import mons, op_matrix, type_basis
 from .hypersurfaces import p_R_poly
 
 
@@ -70,37 +69,8 @@ def S_R_apply(u: MixedSeries, r, R) -> MixedSeries:
     return bilinear_laplacian(pr * u, r) * (-1.0)
 
 
-def p_R_grad(F: MixedSeries, R) -> MixedSeries:
-    """p_R(grad) F with p_R(z) = z'^t R z' + (z^n)^2 (holomorphic slots)."""
-    n = F.n
-    R = np.asarray(R, dtype=complex)
-    out = F.diff("z", n).diff("z", n)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if abs(R[i, j]) > STORE_TOL:
-                out = out + F.diff("z", i + 1).diff("z", j + 1) * R[i, j]
-    return MixedSeries(n, F.trunc, out.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # slice linear algebra helpers
-
-
-def _op_matrix(op, n, trunc, src_basis, dst_basis):
-    """Matrix of a series operator between two monomial slices."""
-    cols = np.zeros((len(dst_basis), len(src_basis)), dtype=complex)
-    index = {key: i for i, key in enumerate(dst_basis)}
-    for j, key in enumerate(src_basis):
-        img = op(MixedSeries(n, trunc, {key: 1.0}, _normalized=True))
-        for k, v in img.coeffs.items():
-            if k in index:
-                cols[index[k], j] = v
-    return cols
-
-
-def _mult_cols(poly: MixedSeries, n, trunc, src_basis, dst_basis):
-    """Columns spanned by poly * (src monomials), on the dst slice."""
-    return _op_matrix(lambda e: poly * e, n, trunc, src_basis, dst_basis)
 
 
 def _complex_nullspace(A, tol=1e-10):
@@ -111,8 +81,8 @@ def _complex_nullspace(A, tol=1e-10):
     return vh[rank:].conj().T
 
 
-def _real_colspace(cols, tol=1e-10):
-    """Orthonormal real column space basis (input real matrix)."""
+def _colspace(cols, tol=1e-10):
+    """Orthonormal column space basis."""
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0))
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -146,22 +116,17 @@ def _sigma_matrix(basis, n):
 
 
 # ---------------------------------------------------------------------------
-# clause builders
-
-_QP_CACHE = {}
+# clause builders.  Each builds the (k,l) slice with s-power m at its own
+# weighted degree trunc = k + l + 2m.
 
 
 def _ctx_polys(n, r, R, trunc):
-    key = (n, r, tuple(np.asarray(R, dtype=complex).ravel().round(14)), trunc)
-    if key not in _QP_CACHE:
-        z = [MixedSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
-        zb = [MixedSeries.variable(n, trunc, "zb", i + 1) for i in range(n)]
-        Q = MixedSeries.zero(n, trunc)
-        for j, e in enumerate(eps_signs(n, r)):
-            Q = Q + z[j] * zb[j] * e
-        pr = p_R_poly(n, trunc, R)
-        _QP_CACHE[key] = (Q, pr, z[n - 1], zb[n - 1])
-    return _QP_CACHE[key]
+    z = [MixedSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
+    zb = [MixedSeries.variable(n, trunc, "zb", i + 1) for i in range(n)]
+    Q = MixedSeries.zero(n, trunc)
+    for j, e in enumerate(eps_signs(n, r)):
+        Q = Q + z[j] * zb[j] * e
+    return Q, p_R_poly(n, trunc, R), z[n - 1], zb[n - 1]
 
 
 def _lap_null(n, r, trunc, k, l, m, power=1):
@@ -172,7 +137,7 @@ def _lap_null(n, r, trunc, k, l, m, power=1):
     if power == 2:
         inner = op
         op = lambda e: bilinear_laplacian(inner(e), r)
-    A = _op_matrix(op, n, trunc, basis, type_basis(n, k - power, l - power, m))
+    A = op_matrix(op, basis, type_basis(n, k - power, l - power, m), n, trunc)
     return _complex_nullspace(A)
 
 
@@ -212,44 +177,37 @@ def _clause_31(n, r, R, trunc, m):
 def _clause_22(n, r, R, trunc, m):
     Q, _, zn, znb = _ctx_polys(n, r, R, trunc)
     basis = type_basis(n, 2, 2, m)
-    ker = _lap_null(n, r, trunc, 2, 2, m)
-    extra = _mult_cols(
-        Q * zn * znb, n, trunc, type_basis(n, 0, 0, m), basis
-    )
-    cols = np.column_stack([ker, extra])
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return u[:, :rank]
+    q = Q * zn * znb
+    parts = [
+        _lap_null(n, r, trunc, 2, 2, m),
+        op_matrix(lambda e: q * e, type_basis(n, 0, 0, m), basis, n, trunc),
+    ]
+    return _colspace(np.column_stack(parts))
 
 
 def _clause_32(n, r, R, trunc, m):
     Q, _, zn, _ = _ctx_polys(n, r, R, trunc)
     basis = type_basis(n, 3, 2, m)
+    q = Q * Q * zn
     parts = [
-        _mult_cols(Q * Q * zn, n, trunc, type_basis(n, 0, 0, m), basis),
-        _mult_cols(Q, n, trunc, type_basis(n, 2, 1, m), basis)
+        op_matrix(lambda e: q * e, type_basis(n, 0, 0, m), basis, n, trunc),
+        op_matrix(lambda e: Q * e, type_basis(n, 2, 1, m), basis, n, trunc)
         @ _lap_null(n, r, trunc, 2, 1, m),
         _lap_null(n, r, trunc, 3, 2, m),
     ]
-    cols = np.column_stack(parts)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return u[:, :rank]
+    return _colspace(np.column_stack(parts))
 
 
 def _clause_42(n, r, R, trunc, m):
     Q, _, _, znb = _ctx_polys(n, r, R, trunc)
     basis = type_basis(n, 4, 2, m)
     h30 = [a + (0,) * n + (m,) for a in mons(n, 3) if a[n - 1] == 0]
+    q = Q * znb
     parts = [
-        _mult_cols(Q * znb, n, trunc, h30, basis) if h30 else
-        np.zeros((len(basis), 0), dtype=complex),
+        op_matrix(lambda e: q * e, h30, basis, n, trunc),
         _lap_null(n, r, trunc, 4, 2, m),
     ]
-    cols = np.column_stack(parts)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return u[:, :rank]
+    return _colspace(np.column_stack(parts))
 
 
 def _clause_k1(k):
@@ -293,13 +251,13 @@ def _clause_33_real(n, r, R, trunc, m):
                     v[index[kk]] = vv.real
                     v[d + index[kk]] = vv.imag
             cols.append(v.reshape(-1, 1))
-    return _real_colspace(np.column_stack(cols))
+    return _colspace(np.column_stack(cols))
 
 
 #: clause registry: (k,l) -> builder(n, r, R, trunc, m).
 #: complex-valued builders return a complex basis of the (k,l) slice;
 #: builders whose name ends in ``_real`` return stacked real bases.
-DEFAULT_CLAUSES = {
+_CLAUSES = {
     (1, 1): _clause_11,
     (2, 1): _clause_21,
     (3, 1): _clause_31,
@@ -311,9 +269,9 @@ DEFAULT_CLAUSES = {
 _REAL_CLAUSES = {(3, 3)}
 
 
-def _clause_for(k, l, clauses):
-    if (k, l) in clauses:
-        return clauses[(k, l)], (k, l) in _REAL_CLAUSES
+def _clause_for(k, l):
+    if (k, l) in _CLAUSES:
+        return _CLAUSES[(k, l)], (k, l) in _REAL_CLAUSES
     if l == 1 and k >= 4:
         return _clause_k1(k), False
     return None, False
@@ -322,7 +280,7 @@ def _clause_for(k, l, clauses):
 _BASIS_CACHE = {}
 
 
-def normal_slice_real_basis(n, r, R, k, l, m, trunc, clauses=None):
+def normal_slice_real_basis(n, r, R, k, l, m):
     """Orthonormal real basis (stacked coords, 2d rows) of the remainder
     subspace of the type-(k,l), s^m slice; requires k >= l >= 1.
 
@@ -331,17 +289,13 @@ def normal_slice_real_basis(n, r, R, k, l, m, trunc, clauses=None):
     """
     if k < l:
         raise ValueError("use k >= l; the (l,k) part follows by conjugation")
-    reg = DEFAULT_CLAUSES if clauses is None else clauses
-    cache_key = None
-    if clauses is None:
-        cache_key = (
-            n, r, tuple(np.asarray(R, dtype=complex).ravel().round(14)), k, l, m
-        )
-        if cache_key in _BASIS_CACHE:
-            return _BASIS_CACHE[cache_key]
+    cache_key = (n, r, tuple(np.asarray(R, dtype=complex).ravel().round(14)), k, l, m)
+    if cache_key in _BASIS_CACHE:
+        return _BASIS_CACHE[cache_key]
     basis = type_basis(n, k, l, m)
     d = len(basis)
-    builder, is_real = _clause_for(k, l, reg)
+    trunc = k + l + 2 * m
+    builder, is_real = _clause_for(k, l)
     if builder is None:
         out = _realize(np.eye(d, dtype=complex))
     elif is_real:
@@ -350,11 +304,10 @@ def normal_slice_real_basis(n, r, R, k, l, m, trunc, clauses=None):
         out = _realize(builder(n, r, R, trunc, m))
     if k == l:
         P = 0.5 * (np.eye(2 * d) + _sigma_matrix(basis, n))
-        out = _real_colspace(P @ out)
+        out = _colspace(P @ out)
     else:
-        out = _real_colspace(out)
-    if cache_key is not None:
-        _BASIS_CACHE[cache_key] = out
+        out = _colspace(out)
+    _BASIS_CACHE[cache_key] = out
     return out
 
 
@@ -389,7 +342,7 @@ def _unstack(x):
     return x[:d] + 1j * x[d:]
 
 
-def normal_space_report(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
+def normal_space_report(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     """Per-type membership certificates for the remainder space.
 
     Returns {(k,l,m): {"listed", "residual", "ok"}} for k >= l; the
@@ -411,11 +364,11 @@ def normal_space_report(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
                 "ok": scale <= tol,
             }
             continue
-        builder, _ = _clause_for(k, l, DEFAULT_CLAUSES if clauses is None else clauses)
+        builder, _ = _clause_for(k, l)
         if builder is None:
             report[(k, l, m)] = {"listed": False, "residual": 0.0, "ok": True}
             continue
-        B = normal_slice_real_basis(n, r, R, k, l, m, F.trunc, clauses)
+        B = normal_slice_real_basis(n, r, R, k, l, m)
         x = _stack(_slice_vector(coeffs, type_basis(n, k, l, m)))
         resid = float(np.linalg.norm(x - B @ (B.T @ x)))
         report[(k, l, m)] = {
@@ -426,12 +379,12 @@ def normal_space_report(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
     return report
 
 
-def is_in_normal_space(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
-    report = normal_space_report(F, r, R, tol, clauses)
+def is_in_normal_space(F: MixedSeries, r, R, tol=DEFAULT_TOL):
+    report = normal_space_report(F, r, R, tol)
     return all(entry["ok"] for entry in report.values())
 
 
-def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
+def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     """Orthogonal projection (coefficient metric) onto the remainder
     space: returns (N, complement) with F = N + complement, N in the
     remainder space and complement orthogonal to it.
@@ -448,12 +401,12 @@ def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
             continue  # filled by conjugation
         if k == 0 or l == 0:
             continue  # projection is zero
-        builder, _ = _clause_for(k, l, DEFAULT_CLAUSES if clauses is None else clauses)
+        builder, _ = _clause_for(k, l)
         basis = type_basis(n, k, l, m)
         if builder is None:
             proj = _slice_vector(coeffs, basis)
         else:
-            B = normal_slice_real_basis(n, r, R, k, l, m, trunc, clauses)
+            B = normal_slice_real_basis(n, r, R, k, l, m)
             x = _stack(_slice_vector(coeffs, basis))
             proj = _unstack(B @ (B.T @ x))
         for key, val in zip(basis, proj):
@@ -466,7 +419,7 @@ def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL, clauses=None):
     return N, F - N
 
 
-def normal_space_dim(n, r, R, nu, trunc, clauses=None):
+def normal_space_dim(n, r, R, nu):
     """Total real dimension of the remainder space at weighted degree nu."""
     total = 0
     for k in range(nu + 1):
@@ -479,6 +432,6 @@ def normal_space_dim(n, r, R, nu, trunc, clauses=None):
                 continue
             # the stacked real basis of the (k,l) slice already carries the
             # full real dimension of the conjugate pair {(k,l),(l,k)}
-            B = normal_slice_real_basis(n, r, R, k, l, m, trunc, clauses)
+            B = normal_slice_real_basis(n, r, R, k, l, m)
             total += B.shape[1]
     return total

@@ -12,11 +12,11 @@ canonicalized to D(lambda) in the definite case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DEFAULT_TOL, STORE_TOL, HoloSeries, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
 from .hypersurfaces import Hypersurface
 from .maps import FormalMap, apply_map, to_regular
 from .linalg import hermitian_eig, takagi, matrix_to_json
@@ -133,9 +133,9 @@ def _kill_quadratic(cur: Hypersurface, total: FormalMap, r, s, tol=DEFAULT_TOL):
         return cur, total
     fs = []
     for mu in range(n):
-        f = HoloSeries.variable(n, T, "z", mu + 1)
+        f = MixedSeries.variable(n, T, "z", mu + 1)
         if mu < r + s:
-            q = HoloSeries.zero(n, T)
+            q = MixedSeries.zero(n, T)
             for al in range(n):
                 for be in range(al, n):
                     c = np.conj(k[al, be, mu]) * eps[mu]
@@ -145,10 +145,10 @@ def _kill_quadratic(cur: Hypersurface, total: FormalMap, r, s, tol=DEFAULT_TOL):
                         a = [0] * n
                         a[al] += 1
                         a[be] += 1
-                        q = q + HoloSeries.monomial(n, T, a, 0, c)
+                        q = q + MixedSeries.monomial(n, T, a, (0,) * n, 0, c)
             f = f + q
         fs.append(f)
-    Tq = FormalMap(fs, HoloSeries.variable(n, T, "w"))
+    Tq = FormalMap(fs, MixedSeries.variable(n, T, "s"))
     cur = apply_map(cur, Tq, tol)
     total = Tq.compose(total)
     k2 = cubic_coeffs(cur.phi)

@@ -1,12 +1,13 @@
 """Truncated formal power series with weighted grading.
 
-Two series types:
+:class:`MixedSeries` holds series in ``z = (z^1..z^n)``, the conjugate
+variables ``zbar``, and one real variable ``s``.  Weights: ``z`` and
+``zbar`` have weight 1, ``s`` has weight 2.
 
-* :class:`MixedSeries` -- series in ``z = (z^1..z^n)``, the conjugate
-  variables ``zbar``, and one real variable ``s``.  Weights: ``z`` and
-  ``zbar`` have weight 1, ``s`` has weight 2.
-* :class:`HoloSeries` -- series in ``(z, w)`` only (no conjugates),
-  ``w`` of weight 2.  These hold transformation components.
+The components of a holomorphic map ``(z, w) -> (f, g)`` are series with
+no ``zbar`` terms, with ``w`` (also of weight 2) in the ``s`` slot.
+Composing maps, and evaluating a component at ``w = s + i t``, are both
+:meth:`MixedSeries.subs`.
 
 Coefficients are complex binary64.  Series are immutable once built;
 all operations return new objects.  Terms of weighted degree above
@@ -17,11 +18,8 @@ all operations return new objects.  Terms of weighted degree above
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
-
-from ._kernels import mul_arrays
 
 #: default tolerance for zero tests and rank decisions
 DEFAULT_TOL = 1e-9
@@ -29,14 +27,13 @@ DEFAULT_TOL = 1e-9
 #: DEFAULT_TOL are not perturbed by pruning
 STORE_TOL = 1e-13
 
-# threshold (pair count) below which plain dict loops beat array kernels
+# threshold (pair count) below which plain dict loops beat the array product
 _SMALL_MUL = 600
 
 
 # ---------------------------------------------------------------------------
-# dict-level helpers shared by both series types.  A "termdict" maps an
-# exponent tuple to a complex coefficient; `weights` is the per-slot weight
-# vector.
+# dict-level helpers.  A "termdict" maps an exponent tuple to a complex
+# coefficient; `weights` is the per-slot weight vector.
 
 
 def _wdeg(exp, weights):
@@ -54,6 +51,29 @@ def _clean(terms, weights, trunc):
 def _add_into(acc, terms, factor=1.0):
     for k, v in terms.items():
         acc[k] = acc.get(k, 0.0) + factor * v
+
+
+def _mul_arrays(expA, valA, expB, valB, weights, trunc):
+    """Cauchy product of exponent/coefficient arrays (``(k, nslots)`` int64
+    and complex128).  Output exponents are packed into one mixed-radix key
+    with radix ``trunc + 2``: every exponent of a truncated term is at most
+    ``trunc``, since all slot weights are >= 1."""
+    wa = expA @ weights
+    wb = expB @ weights
+    ii, jj = np.nonzero(wa[:, None] + wb[None, :] <= trunc)
+    nc = expA.shape[1]
+    if ii.size == 0:
+        return np.empty((0, nc), dtype=np.int64), np.empty(0, dtype=np.complex128)
+    exps = expA[ii] + expB[jj]
+    vals = valA[ii] * valB[jj]
+    radix = trunc + 2
+    keys = np.zeros(exps.shape[0], dtype=np.int64)
+    for c in range(nc):
+        keys = keys * radix + exps[:, c]
+    uk, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    out = np.zeros(uk.size, dtype=np.complex128)
+    np.add.at(out, inv, vals)
+    return exps[first], out
 
 
 def _mul_dict(A, B, weights, trunc):
@@ -75,20 +95,11 @@ def _mul_dict(A, B, weights, trunc):
     expB = np.array(list(B.keys()), dtype=np.int64).reshape(len(B), len(weights))
     valB = np.fromiter(B.values(), dtype=np.complex128, count=len(B))
     warr = np.asarray(weights, dtype=np.int64)
-    exps, vals = mul_arrays(expA, valA, expB, valB, warr, trunc)
+    exps, vals = _mul_arrays(expA, valA, expB, valB, warr, trunc)
     out = {}
     for row, v in zip(exps, vals):
         if abs(v) > STORE_TOL:
             out[tuple(int(e) for e in row)] = complex(v)
-    return out
-
-
-def _pow_dict(A, e, weights, trunc):
-    if e == 0:
-        raise ValueError("use explicit unit for zeroth power")
-    out = A
-    for _ in range(e - 1):
-        out = _mul_dict(out, A, weights, trunc)
     return out
 
 
@@ -393,15 +404,6 @@ class MixedSeries:
             for nu, t in sorted(parts.items())
         }
 
-    def type_component(self, k, l):
-        n = self.n
-        out = {
-            key: v
-            for key, v in self.coeffs.items()
-            if sum(key[:n]) == k and sum(key[n : 2 * n]) == l
-        }
-        return MixedSeries(self.n, self.trunc, out, _normalized=True)
-
     def type_decompose(self):
         n = self.n
         parts = {}
@@ -416,12 +418,6 @@ class MixedSeries:
         w = self.weights
         out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) <= new_trunc}
         return MixedSeries(self.n, new_trunc, out, _normalized=True)
-
-    def drop_below(self, nu):
-        """Remove all terms of weighted degree < nu."""
-        w = self.weights
-        out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) >= nu}
-        return MixedSeries(self.n, self.trunc, out, _normalized=True)
 
     # -- reality -------------------------------------------------------
 
@@ -502,23 +498,6 @@ class MixedSeries:
         )
         return MixedSeries(n_out, trunc_out, out, _normalized=True)
 
-    def shift_s(self, delta, sign=1.0):
-        """Substitute s -> s + sign*delta (delta a MixedSeries, O(2))."""
-        img = MixedSeries.variable(self.n, self.trunc, "s") + delta * sign
-        return self.subs(s=img)
-
-    # -- conversions -----------------------------------------------------
-
-    def holo_lift(self):
-        """Read a series with no zbar dependence as a HoloSeries (s -> w)."""
-        n = self.n
-        out = {}
-        for k, v in self.coeffs.items():
-            if any(k[n : 2 * n]):
-                raise ValueError("series depends on conjugate variables")
-            out[k[:n] + (k[2 * n],)] = v
-        return HoloSeries(n, self.trunc, out, _normalized=True)
-
     # -- serialization ---------------------------------------------------
 
     def sorted_terms(self):
@@ -582,288 +561,6 @@ class MixedSeries:
                     factors.append(f"zb{i+1}" + (f"^{e}" if e > 1 else ""))
             if k[2 * n]:
                 factors.append("s" + (f"^{k[2*n]}" if k[2 * n] > 1 else ""))
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({v.real:+.6g}{v.imag:+.6g}i)*{mono}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-class HoloSeries:
-    """Truncated holomorphic series in (z, w); exponent keys (a..., m)."""
-
-    __slots__ = ("n", "trunc", "coeffs")
-
-    def __init__(self, n, trunc, coeffs=None, *, _normalized=False):
-        self.n = n
-        self.trunc = trunc
-        if coeffs is None:
-            coeffs = {}
-        if not _normalized:
-            coeffs = _clean(coeffs, self.weights, trunc)
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, n, trunc):
-        return cls(n, trunc, {}, _normalized=True)
-
-    @classmethod
-    def monomial(cls, n, trunc, a, m, coeff=1.0):
-        return cls(n, trunc, {tuple(a) + (m,): complex(coeff)})
-
-    @classmethod
-    def variable(cls, n, trunc, kind, k=None):
-        e = [0] * (n + 1)
-        if kind == "w":
-            e[n] = 1
-        elif kind == "z":
-            e[k - 1] = 1
-        else:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return cls(n, trunc, {tuple(e): 1.0})
-
-    @property
-    def nslots(self):
-        return self.n + 1
-
-    @property
-    def weights(self):
-        return (1,) * self.n + (2,)
-
-    def terms(self):
-        n = self.n
-        for k, v in self.coeffs.items():
-            yield k[:n], k[n], v
-
-    def coeff(self, a, m):
-        return self.coeffs.get(tuple(a) + (m,), 0.0 + 0.0j)
-
-    def norm(self):
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
-    def is_zero(self, tol=DEFAULT_TOL):
-        return self.norm() <= tol
-
-    def min_wdeg(self):
-        w = self.weights
-        return min((_wdeg(k, w) for k in self.coeffs), default=None)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched number of variables")
-        return min(self.trunc, other.trunc)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = HoloSeries(self.n, self.trunc, {(0,) * self.nslots: complex(other)})
-        t = self._check(other)
-        out = dict(self.coeffs)
-        _add_into(out, other.coeffs)
-        return HoloSeries(self.n, t, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HoloSeries(
-            self.n, self.trunc, {k: -v for k, v in self.coeffs.items()}, _normalized=True
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self + (-other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return HoloSeries(
-                self.n, self.trunc, {k: v * other for k, v in self.coeffs.items()}
-            )
-        t = self._check(other)
-        out = _mul_dict(self.coeffs, other.coeffs, self.weights, t)
-        return HoloSeries(self.n, t, out, _normalized=True)
-
-    __rmul__ = __mul__
-
-    def diff(self, kind, k=None):
-        n = self.n
-        if kind == "w":
-            slot, wt = n, 2
-        elif kind == "z":
-            slot, wt = k - 1, 1
-        else:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        out = {}
-        for key, v in self.coeffs.items():
-            e = key[slot]
-            if e == 0:
-                continue
-            nk = key[:slot] + (e - 1,) + key[slot + 1 :]
-            out[nk] = out.get(nk, 0.0) + e * v
-        return HoloSeries(self.n, max(self.trunc - wt, 0), out, _normalized=True)
-
-    def weighted_component(self, nu):
-        w = self.weights
-        out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) == nu}
-        return HoloSeries(self.n, self.trunc, out, _normalized=True)
-
-    def truncate(self, new_trunc):
-        w = self.weights
-        out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) <= new_trunc}
-        return HoloSeries(self.n, new_trunc, out, _normalized=True)
-
-    def drop_below(self, nu):
-        w = self.weights
-        out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) >= nu}
-        return HoloSeries(self.n, self.trunc, out, _normalized=True)
-
-    def subs_holo(self, z_images, w_image, allow_const=False):
-        """Compose with holomorphic images (HoloSeries); returns HoloSeries.
-
-        None entries mean identity.
-        """
-        n = self.n
-        imgs = list(z_images) + [w_image]
-        given = [im for im in imgs if im is not None]
-        if not given:
-            return self
-        n_out = given[0].n
-        trunc_out = min(self.trunc, min(im.trunc for im in given))
-        for im in given:
-            if not allow_const and abs(im.coeff((0,) * n_out, 0)) > STORE_TOL:
-                raise ValueError("image has a constant term")
-        if w_image is not None and not allow_const:
-            md = w_image.min_wdeg()
-            if md is not None and md < 2:
-                raise ValueError("image of w must be O(2) in weighted degree")
-        nslots_out = n_out + 1
-        weights_out = (1,) * n_out + (2,)
-        images = []
-        for slot, im in enumerate(imgs):
-            unit = None
-            if n_out == n:
-                u = [0] * nslots_out
-                u[slot] = 1
-                unit = tuple(u)
-            if im is None:
-                if unit is None:
-                    raise ValueError("identity image requires matching space")
-                images.append(("mono", unit, 1.0))
-            elif len(im.coeffs) == 1:
-                (kk, vv), = im.coeffs.items()
-                images.append(("mono", kk, vv))
-            else:
-                images.append(_as_image(im.coeffs, unit, nslots_out))
-        out = _compose_terms(
-            self.coeffs, self.weights, images, nslots_out, weights_out, trunc_out
-        )
-        return HoloSeries(n_out, trunc_out, out, _normalized=True)
-
-    def eval_mixed(self, z_images, w_image):
-        """Evaluate with MixedSeries images for each z^k and for w."""
-        given = [im for im in list(z_images) + [w_image] if im is not None]
-        n_out = given[0].n
-        trunc_out = min(self.trunc, min(im.trunc for im in given))
-        nslots_out = 2 * n_out + 1
-        weights_out = (1,) * (2 * n_out) + (2,)
-        images = []
-        for slot, im in enumerate(list(z_images) + [w_image]):
-            unit = None
-            if im is None:
-                raise ValueError("eval_mixed requires explicit images")
-            if slot < self.n and im.n == n_out:
-                u = [0] * nslots_out
-                u[slot] = 1
-                unit = tuple(u)
-            elif slot == self.n:
-                # natural base for w is s
-                u = [0] * nslots_out
-                u[2 * n_out] = 1
-                unit = tuple(u)
-            if len(im.coeffs) == 1:
-                (kk, vv), = im.coeffs.items()
-                images.append(("mono", kk, vv))
-            else:
-                images.append(_as_image(im.coeffs, unit, nslots_out))
-        out = _compose_terms(
-            self.coeffs, self.weights, images, nslots_out, weights_out, trunc_out
-        )
-        return MixedSeries(n_out, trunc_out, out, _normalized=True)
-
-    def conj_mixed(self):
-        """Formal conjugate as a function of (zbar, s - i*0): returns the
-        MixedSeries obtained by reading w -> s and conjugating: used only
-        through eval paths; provided for tests."""
-        n = self.n
-        out = {}
-        for k, v in self.coeffs.items():
-            out[(0,) * n + k[:n] + (k[n],)] = v.conjugate()
-        return MixedSeries(n, self.trunc, out, _normalized=True)
-
-    def to_mixed(self):
-        """Read w -> s (used when w is evaluated on the real axis)."""
-        n = self.n
-        out = {}
-        for k, v in self.coeffs.items():
-            out[k[:n] + (0,) * n + (k[n],)] = v
-        return MixedSeries(n, self.trunc, out, _normalized=True)
-
-    def conj_coeffs(self):
-        """HoloSeries with conjugated coefficients (formal bar of the map)."""
-        return HoloSeries(
-            self.n,
-            self.trunc,
-            {k: v.conjugate() for k, v in self.coeffs.items()},
-            _normalized=True,
-        )
-
-    def sorted_terms(self):
-        n = self.n
-        w = self.weights
-
-        def keyf(item):
-            k, _ = item
-            return (_wdeg(k, w), k[:n], k[n])
-
-        return sorted(self.coeffs.items(), key=keyf)
-
-    def to_json_dict(self):
-        n = self.n
-        terms = []
-        for k, v in self.sorted_terms():
-            terms.append(
-                {
-                    "z": list(k[:n]),
-                    "zbar": [0] * n,
-                    "s": k[n],
-                    "re": float(v.real),
-                    "im": float(v.imag),
-                }
-            )
-        return {"n": n, "trunc": self.trunc, "real": False, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        n = int(d["n"])
-        coeffs = {}
-        for t in d.get("terms", []):
-            if any(int(x) for x in t["zbar"]):
-                raise ValueError("holomorphic series cannot depend on zbar")
-            key = tuple(int(x) for x in t["z"]) + (int(t["s"]),)
-            coeffs[key] = coeffs.get(key, 0.0) + complex(t["re"], t["im"])
-        return cls(n, int(d["trunc"]), coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        n = self.n
-        parts = []
-        for k, v in self.sorted_terms():
-            factors = []
-            for i in range(n):
-                if k[i]:
-                    factors.append(f"z{i+1}" + (f"^{k[i]}" if k[i] > 1 else ""))
-            if k[n]:
-                factors.append("w" + (f"^{k[n]}" if k[n] > 1 else ""))
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({v.real:+.6g}{v.imag:+.6g}i)*{mono}")
         return " + ".join(parts)

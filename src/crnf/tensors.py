@@ -16,7 +16,7 @@ import numpy as np
 
 from .series import DEFAULT_TOL, MixedSeries
 from .hypersurfaces import GenericSubmanifold, Hypersurface
-from .linalg import orthonormal_basis, nullspace, principal_angle_gap
+from .linalg import orthonormal_basis, nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +149,6 @@ def apply_word(frame: CRFrame, J, F: MixedSeries) -> MixedSeries:
     for idx in reversed(J):
         out = apply_field_bar(frame.L[idx - 1], out)
     return out
-
-
-def apply_T(M: GenericSubmanifold, J, l, frame: CRFrame | None = None):
-    """Coefficient series of the iterated contraction of theta^l along the
-    word J: the N series L^J(d rho_l / dZ^m); for empty J the theta^l
-    coefficients themselves (with the 2i factor)."""
-    if frame is None:
-        frame = cr_frame(M)
-    if len(J) + 1 > M.trunc:
-        raise ValueError("truncation too small for this word length")
-    if not J:
-        return list(frame.theta[l - 1])
-    return [apply_word(frame, J, M.rho_z(l, m + 1)) for m in range(M.N)]
 
 
 def _value0(series_list):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,23 @@ class TestEquivalence:
         d = rep.to_json_dict()
         assert d["invariants_match"] is False
         assert "signature_1" in d and "signature_2" in d
+
+    def test_third_order_normalization_runs_once_per_input(self, monkeypatch):
+        module = sys.modules["crnf.partial_nf"]
+        orig = module.third_order_form
+        calls = []
+
+        def counted(M, *args, **kwargs):
+            calls.append(M)
+            return orig(M, *args, **kwargs)
+
+        monkeypatch.setattr(module, "third_order_form", counted)
+        model = model_D(2, 6, (1.0,))
+        raw = apply_map(model, FormalMap.linear(np.diag([2.0, 1.0]), 1.0, 6))
+        rep = equivalent_to_degree(raw, model, degree=6)
+        assert rep.invariants_match
+        assert len(calls) == 2
+
+    def test_non_generic_inputs_are_refused(self):
+        with pytest.raises(ValueError):
+            equivalent_to_degree(sphere(2, 6), sphere(2, 6))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crnf.series import HoloSeries, MixedSeries
+from crnf.series import MixedSeries
 from crnf.hypersurfaces import Hypersurface, model_D, sphere
 from crnf.maps import FormalMap, apply_map
 from crnf.normal_space import is_in_normal_space, project_normal
@@ -62,7 +62,7 @@ class TestCheckG0:
         n, T = 2, 8
         I = FormalMap.identity(n, T)
         Tm = FormalMap(
-            [I.fs[0] + HoloSeries.monomial(n, T, (3, 0), 0, 0.1), I.fs[1]], I.g
+            [I.fs[0] + MixedSeries.monomial(n, T, (3, 0), (0, 0), 0, 0.1), I.fs[1]], I.g
         )
         assert not check_G0(Tm)
 
@@ -70,7 +70,7 @@ class TestCheckG0:
         n, T = 2, 8
         I = FormalMap.identity(n, T)
         Tm = FormalMap(
-            [I.fs[0], I.fs[1] + HoloSeries.monomial(n, T, (2, 0), 0, 0.1)], I.g
+            [I.fs[0], I.fs[1] + MixedSeries.monomial(n, T, (2, 0), (0, 0), 0, 0.1)], I.g
         )
         assert not check_G0(Tm)
 
@@ -78,10 +78,10 @@ class TestCheckG0:
         n, T = 2, 8
         I = FormalMap.identity(n, T)
         bad = FormalMap(
-            [I.fs[0] + HoloSeries.monomial(n, T, (1, 0), 1, 0.1), I.fs[1]], I.g
+            [I.fs[0] + MixedSeries.monomial(n, T, (1, 0), (0, 0), 1, 0.1), I.fs[1]], I.g
         )
         good = FormalMap(
-            [I.fs[0] + HoloSeries.monomial(n, T, (1, 0), 1, 0.1j), I.fs[1]], I.g
+            [I.fs[0] + MixedSeries.monomial(n, T, (1, 0), (0, 0), 1, 0.1j), I.fs[1]], I.g
         )
         assert not check_G0(bad)
         assert check_G0(good)
@@ -120,7 +120,7 @@ class TestSolveL:
                 + MixedSeries.monomial(n, 8, (0,) * n, a, m, np.conj(c))
             )
             sol = solve_L(F, 1, np.diag([1.0]))
-            assert abs(sol.g.coeff(a, m) - (-2j * c)) < 1e-9
+            assert abs(sol.g.coeff(a, (0,) * n, m) - (-2j * c)) < 1e-9
             assert sol.N.norm() < 1e-9
 
     def test_weighted_homogeneity_required(self):
@@ -237,8 +237,8 @@ class TestFactorMap:
         assert validate_P(P, n - 1, np.diag(lam))
         I = FormalMap.identity(n, trunc)
         Tg = FormalMap(
-            [I.fs[0] + HoloSeries.monomial(n, trunc, (2, 0), 1, 0.05j), I.fs[1]],
-            I.g + HoloSeries.monomial(n, trunc, (4, 0), 0, 0.02),
+            [I.fs[0] + MixedSeries.monomial(n, trunc, (2, 0), (0, 0), 1, 0.05j), I.fs[1]],
+            I.g + MixedSeries.monomial(n, trunc, (4, 0), (0, 0), 0, 0.02),
         )
         assert check_G0(Tg)
         Phi = Tg.compose(P.to_map(trunc))

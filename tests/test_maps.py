@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crnf.series import HoloSeries, MixedSeries
+from crnf.series import MixedSeries
 from crnf.hypersurfaces import Hypersurface, model_D, sphere
 from crnf.maps import FormalMap, apply_map, to_regular
 
@@ -17,10 +17,10 @@ def test_inverse_round_trip(rng):
     n, T = 2, 8
     I = FormalMap.identity(n, T)
     fs = [
-        I.fs[0] + HoloSeries.monomial(n, T, (2, 0), 0, 0.3 + 0.1j),
-        I.fs[1] + HoloSeries.monomial(n, T, (0, 1), 1, 0.2j),
+        I.fs[0] + MixedSeries.monomial(n, T, (2, 0), (0, 0), 0, 0.3 + 0.1j),
+        I.fs[1] + MixedSeries.monomial(n, T, (0, 1), (0, 0), 1, 0.2j),
     ]
-    g = 2.0 * I.g + HoloSeries.monomial(n, T, (1, 1), 0, 0.5)
+    g = 2.0 * I.g + MixedSeries.monomial(n, T, (1, 1), (0, 0), 0, 0.5)
     Tm = FormalMap(fs, g)
     S = Tm.inverse()
     assert Tm.compose(S).distance(FormalMap.identity(n, T)) < 1e-10
@@ -55,10 +55,10 @@ def test_apply_map_composes(rng):
     M = model_D(n, T, (1.0,))
     I = FormalMap.identity(n, T)
     T1 = FormalMap(
-        [I.fs[0] + HoloSeries.monomial(n, T, (2, 0), 0, 0.1), I.fs[1]], I.g
+        [I.fs[0] + MixedSeries.monomial(n, T, (2, 0), (0, 0), 0, 0.1), I.fs[1]], I.g
     )
     T2 = FormalMap(
-        [I.fs[0], I.fs[1]], I.g + HoloSeries.monomial(n, T, (0, 4), 0, 0.05)
+        [I.fs[0], I.fs[1]], I.g + MixedSeries.monomial(n, T, (0, 4), (0, 0), 0, 0.05)
     )
     lhs = apply_map(apply_map(M, T1), T2)
     rhs = apply_map(M, T2.compose(T1))
@@ -87,8 +87,15 @@ def test_map_json_round_trip():
     n, T = 2, 6
     I = FormalMap.identity(n, T)
     Tm = FormalMap(
-        [I.fs[0] + HoloSeries.monomial(n, T, (1, 1), 0, 1j), I.fs[1]],
-        I.g + HoloSeries.monomial(n, T, (2, 0), 1, 0.25),
+        [I.fs[0] + MixedSeries.monomial(n, T, (1, 1), (0, 0), 0, 1j), I.fs[1]],
+        I.g + MixedSeries.monomial(n, T, (2, 0), (0, 0), 1, 0.25),
     )
     back = FormalMap.from_json_dict(Tm.to_json_dict())
     assert Tm.distance(back) == 0.0
+
+
+def test_map_components_cannot_depend_on_zbar():
+    n, T = 2, 6
+    I = FormalMap.identity(n, T)
+    with pytest.raises(ValueError):
+        FormalMap([I.fs[0] + MixedSeries.monomial(n, T, (1, 0), (0, 1), 0, 0.1), I.fs[1]], I.g)

@@ -56,7 +56,7 @@ class TestDimensions:
         ],
     )
     def test_frozen_dimensions(self, n, lam, nu, expected):
-        assert normal_space_dim(n, n - 1, np.diag(lam), nu, nu) == expected
+        assert normal_space_dim(n, n - 1, np.diag(lam), nu) == expected
 
     @pytest.mark.parametrize("n,lam", [(2, (0.0,)), (2, (1.0,)), (3, (1.0, 0.5)), (3, (1.0, 1.0))])
     @pytest.mark.parametrize("nu", [4, 5, 6, 7, 8])
@@ -67,13 +67,32 @@ class TestDimensions:
         nunk = 0
         for slot, comp, a, j, parts in _unknown_monomials(n, nu):
             nunk += 2 if parts == "xy" else 1
-        ndim = normal_space_dim(n, n - 1, np.diag(lam), nu, nu)
+        ndim = normal_space_dim(n, n - 1, np.diag(lam), nu)
         target = 0
         for m in range(nu // 2 + 1):
             d = nu - 2 * m
             for k in range(d + 1):
                 target += len(mons(n, k)) * len(mons(n, d - k))
         assert nunk + ndim == target
+
+    def test_slice_bases_do_not_depend_on_cache_state(self):
+        from crnf import normal_space
+
+        n, r, R, nu = 3, 2, np.diag([1.0, 0.5]), 8
+        slices = [
+            (k, l, (nu - k - l) // 2)
+            for k in range(1, nu + 1)
+            for l in range(1, k + 1)
+            if k + l <= nu and (nu - k - l) % 2 == 0
+        ]
+        normal_space._BASIS_CACHE.clear()
+        for lower in range(4, nu):
+            normal_space_dim(n, r, R, lower)
+        warm = [normal_space.normal_slice_real_basis(n, r, R, *kl_m) for kl_m in slices]
+        normal_space._BASIS_CACHE.clear()
+        cold = [normal_space.normal_slice_real_basis(n, r, R, *kl_m) for kl_m in slices]
+        for kl_m, a, b in zip(slices, warm, cold):
+            assert np.array_equal(a, b), kl_m
 
 
 class TestMembership:

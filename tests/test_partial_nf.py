@@ -104,15 +104,15 @@ class TestPartialNF:
     def test_lambda_invariant_under_random_map(self, rng):
         M = perturbed_model(2, 8, (1.0,), seed=1, amp=0.03)
         base = generic_partial_nf(M)
-        from crnf.series import HoloSeries
+        from crnf.series import MixedSeries
 
         I = FormalMap.identity(2, 8)
         Tm = FormalMap(
             [
-                0.9 * I.fs[0] + HoloSeries.monomial(2, 8, (0, 2), 0, 0.1j),
-                1.1 * I.fs[1] + HoloSeries.monomial(2, 8, (1, 1), 0, 0.05),
+                0.9 * I.fs[0] + MixedSeries.monomial(2, 8, (0, 2), (0, 0), 0, 0.1j),
+                1.1 * I.fs[1] + MixedSeries.monomial(2, 8, (1, 1), (0, 0), 0, 0.05),
             ],
-            0.8 * I.g + HoloSeries.monomial(2, 8, (2, 0), 0, 0.02),
+            0.8 * I.g + MixedSeries.monomial(2, 8, (2, 0), (0, 0), 0, 0.02),
         )
         res = generic_partial_nf(apply_map(M, Tm))
         assert np.max(np.abs(res.lam - base.lam)) < 1e-6

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from crnf.series import (
     DEFAULT_TOL,
-    HoloSeries,
     MixedSeries,
     complex_to_graph,
     graph_to_complex,
@@ -77,9 +76,9 @@ class TestSubstitution:
 
     def test_holo_w_substitution(self):
         n, T = 1, 4
-        w = HoloSeries.variable(n, T, "w")
+        w = MixedSeries.variable(n, T, "s")
         phi = z(n, T, 1) * zb(n, T, 1)
-        out = w.eval_mixed([z(n, T, 1)], s(n, T) + 1j * phi)
+        out = w.subs(z=[z(n, T, 1)], s=s(n, T) + 1j * phi)
         assert (out - (s(n, T) + 1j * phi)).norm() < 1e-14
 
 
@@ -163,8 +162,8 @@ class TestSerialization:
         assert (f - g).norm() == 0.0
 
     def test_holo_round_trip(self):
-        f = HoloSeries.monomial(2, 6, (1, 2), 1, 1j) + HoloSeries.variable(2, 6, "w")
-        g = HoloSeries.from_json_dict(f.to_json_dict())
+        f = MixedSeries.monomial(2, 6, (1, 2), (0, 0), 1, 1j) + MixedSeries.variable(2, 6, "s")
+        g = MixedSeries.from_json_dict(f.to_json_dict())
         assert (f - g).norm() == 0.0
 
 

@@ -15,10 +15,14 @@ equation
                     |_{w -> s + i<z',zbar'>}  =  F_nu  mod  N_nu
 
 with N_nu the remainder space of normal_space.  The solver assembles L
-degreewise as a real linear system over monomial coefficients (map
-unknowns under the gauge constraints plus remainder-space coordinates);
-the system is square and invertible, and the smallest-singular-value
-margin is reported per degree.  Lower-degree coupling is handled by
+degreewise as a real linear system over monomial coefficients: one
+column per map unknown under the gauge constraints, built from series
+products, then the remainder-space coordinates, filled slice by slice
+from the coefficient blocks of normal_space.remainder_blocks.  The
+system is square and invertible, and the smallest-singular-value margin
+is reported per degree.  N is read back from the solved system: its
+monomial coefficients are the remainder columns times their solved
+coordinates.  Lower-degree coupling is handled by
 re-applying the actual polynomial map after each degree, which is
 self-correcting.
 """
@@ -32,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
-from .fischer import mons, type_basis
+from .fischer import mons
 from .hypersurfaces import (
     Hypersurface,
     hermitian_quadric,
@@ -43,8 +47,8 @@ from .normal_space import (
     S_R_apply,
     eps_signs,
     is_in_normal_space,
-    normal_slice_real_basis,
     project_normal,
+    remainder_blocks,
 )
 
 __all__ = [
@@ -318,11 +322,9 @@ class _LSystem:
         self.n, self.r, self.nu = n, r, nu
         self.R = np.asarray(R, dtype=complex)
         trunc = nu
-        rows = _canonical_rows(n, nu)
-        self.rows = rows
         row_index = {}
         pos = 0
-        for key, selfconj in rows:
+        for key, selfconj in _canonical_rows(n, nu):
             row_index[key] = (pos, selfconj)
             pos += 1 if selfconj else 2
         self.row_index = row_index
@@ -343,21 +345,13 @@ class _LSystem:
         for _ in range(nu // 2):
             sw.append(sw[-1] * (svar + 1j * Q))
 
+        monomials = _unknown_monomials(n, nu)
+        blocks = list(remainder_blocks(n, r, self.R, nu))
+        k0 = sum(len(parts) for *_, parts in monomials)
+        self.mat = np.zeros((self.nrows, k0 + sum(C.shape[1] for _, C in blocks)))
+
         self.unknowns = []
-        cols = []
-
-        def add_col(series):
-            v = np.zeros(self.nrows)
-            for key, val in series.coeffs.items():
-                a, b = key[:n], key[n : 2 * n]
-                if a > b or a == b:
-                    p, selfconj = row_index[key]
-                    v[p] = val.real
-                    if not selfconj:
-                        v[p + 1] = val.imag
-            cols.append(v)
-
-        for slot, comp, a, j, parts in _unknown_monomials(n, nu):
+        for slot, comp, a, j, parts in monomials:
             za = MixedSeries.monomial(n, trunc, a, (0,) * n, 0)
             if slot == "fp":
                 base = (2.0 * eps[comp]) * (za * zb[comp]) * sw[j]
@@ -365,37 +359,17 @@ class _LSystem:
                 base = prefix_fn * za * sw[j]
             else:
                 base = 1j * (za * sw[j])
-            if "x" in parts:
-                self.unknowns.append((slot, comp, a, j, "x"))
-                add_col(base.re_part())
-            self.unknowns.append((slot, comp, a, j, "y"))
-            add_col((1j * base).re_part())
+            for part in parts:
+                term = base if part == "x" else 1j * base
+                self.mat[:, len(self.unknowns)] = self.rhs_of(term.re_part())
+                self.unknowns.append((slot, comp, a, j, part))
 
-        # remainder-space coordinates
-        self.n_cols_start = len(cols)
-        self.n_unknown_info = []
-        for k in range(nu + 1):
-            for l in range(k + 1):
-                m2 = nu - k - l
-                if m2 < 0 or m2 % 2 or k == 0 or l == 0:
-                    continue
-                m = m2 // 2
-                basis = type_basis(n, k, l, m)
-                d = len(basis)
-                Bmat = normal_slice_real_basis(n, r, self.R, k, l, m)
-                for col in range(Bmat.shape[1]):
-                    coeffs = {}
-                    for i, key in enumerate(basis):
-                        cval = Bmat[i, col] + 1j * Bmat[d + i, col]
-                        if abs(cval) > STORE_TOL:
-                            coeffs[key] = cval
-                            if k != l:
-                                ck = key[n : 2 * n] + key[:n] + (key[2 * n],)
-                                coeffs[ck] = np.conj(cval)
-                    self.n_unknown_info.append((k, l, m, col))
-                    add_col(MixedSeries(n, trunc, coeffs, _normalized=True))
+        # remainder-space coordinates, slice by slice
+        col = k0
+        for keys, C in blocks:
+            self._put(self.mat[:, col : col + C.shape[1]], zip(keys, C))
+            col += C.shape[1]
 
-        self.mat = np.column_stack(cols) if cols else np.zeros((self.nrows, 0))
         if self.mat.shape[0] != self.mat.shape[1]:
             raise NormalFormError(
                 f"graded system at degree {nu} is not square: "
@@ -411,16 +385,34 @@ class _LSystem:
             )
         self.lu = scipy.linalg.lu_factor(self.mat)
 
-    def rhs_of(self, F: MixedSeries):
-        v = np.zeros(self.nrows)
-        for key, val in F.coeffs.items():
-            a, b = key[: self.n], key[self.n : 2 * self.n]
+    def _put(self, out, items):
+        """Write the canonical real rows of (key, value) pairs into out;
+        a value is a coefficient or a row of coefficients."""
+        n = self.n
+        for key, val in items:
+            a, b = key[:n], key[n : 2 * n]
             if a > b or a == b:
                 p, selfconj = self.row_index[key]
-                v[p] = val.real
+                out[p] = val.real
                 if not selfconj:
-                    v[p + 1] = val.imag
+                    out[p + 1] = val.imag
+
+    def rhs_of(self, F: MixedSeries):
+        v = np.zeros(self.nrows)
+        self._put(v, F.coeffs.items())
         return v
+
+    def series_of(self, v, trunc) -> MixedSeries:
+        """The real series whose canonical rows are v (inverse of rhs_of)."""
+        n = self.n
+        coeffs = {}
+        for key, (p, selfconj) in self.row_index.items():
+            val = complex(v[p], 0.0 if selfconj else v[p + 1])
+            if abs(val) > STORE_TOL:
+                coeffs[key] = val
+                if not selfconj:
+                    coeffs[key[n : 2 * n] + key[:n] + (key[2 * n],)] = val.conjugate()
+        return MixedSeries(n, trunc, coeffs)
 
 
 _SYSTEM_CACHE = {}
@@ -475,12 +467,11 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
     residual = float(np.linalg.norm(sys_.mat @ x - rhs))
 
     trunc = max(F_nu.trunc, nu)
+    k0 = len(sys_.unknowns)
     fp_terms = [dict() for _ in range(n - 1)]
     fn_terms = {}
     g_terms = {}
-    for val, (slot, comp, a, j, part) in zip(
-        x[: sys_.n_cols_start], sys_.unknowns
-    ):
+    for val, (slot, comp, a, j, part) in zip(x[:k0], sys_.unknowns):
         c = val if part == "x" else 1j * val
         key = a + (0,) * n + (j,)
         if slot == "fp":
@@ -489,28 +480,12 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
             fn_terms[key] = fn_terms.get(key, 0.0) + c
         else:
             g_terms[key] = g_terms.get(key, 0.0) + c
-    N_coeffs = {}
-    ncols = sys_.mat[:, sys_.n_cols_start :]
-    for idx, (k, l, m, col) in enumerate(sys_.n_unknown_info):
-        val = x[sys_.n_cols_start + idx]
-        if abs(val) <= STORE_TOL:
-            continue
-        basis = type_basis(n, k, l, m)
-        Bmat = normal_slice_real_basis(n, r, R, k, l, m)
-        d = len(basis)
-        for i, key in enumerate(basis):
-            cval = val * (Bmat[i, col] + 1j * Bmat[d + i, col])
-            if abs(cval) > STORE_TOL:
-                N_coeffs[key] = N_coeffs.get(key, 0.0) + cval
-                if k != l:
-                    ck = key[n : 2 * n] + key[:n] + (key[2 * n],)
-                    N_coeffs[ck] = N_coeffs.get(ck, 0.0) + np.conj(cval)
     return GradedSolution(
         nu=nu,
         fp=[MixedSeries(n, trunc, t) for t in fp_terms],
         fn=MixedSeries(n, trunc, fn_terms),
         g=MixedSeries(n, trunc, g_terms),
-        N=MixedSeries(n, trunc, N_coeffs),
+        N=sys_.series_of(sys_.mat[:, k0:] @ x[k0:], trunc),
         sigma_min=sys_.sigma_min,
         sigma_max=sys_.sigma_max,
         residual=residual,

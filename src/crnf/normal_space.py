@@ -11,7 +11,7 @@ s-powers handled slice by slice):
 
   * no (k,0) or (0,l) components at all;
   * N_11 in ker D,            D = <grad', gradbar'> = sum_j eps_j d_j dbar_j;
-  * N_21 = zbar^n H_20 with H_20 independent of z^n;
+  * N_k1 = zbar^n H_k0 (k = 2 or k >= 4) with H_k0 independent of z^n;
   * N_31 in ker qbar(grad,gradbar) with q = <z',zbar'> p_R  (the Fischer
     complement of the line spanned by <z',zbar'> p_R);
   * N_22 = <z',zbar'> z^n zbar^n H_00 + H_22,  H_22 in ker D;
@@ -20,7 +20,6 @@ s-powers handled slice by slice):
   * N_42 = <z',zbar'> zbar^n H_30 + H_42, H_30 independent of z^n,
     H_42 in ker D;
   * N_33 = <z',zbar'>^2 (z^n H_01 + conj) + H_33,  H_33 in ker D^2;
-  * N_k1 = zbar^n H_k0 (k >= 4) with H_k0 independent of z^n;
   * every other type is unconstrained.
 
 These clauses were validated computationally: together with the
@@ -145,20 +144,6 @@ def _clause_11(n, r, R, trunc, m):
     return _lap_null(n, r, trunc, 1, 1, m)
 
 
-def _clause_21(n, r, R, trunc, m):
-    # zbar^n H_20, H_20 independent of z^n
-    basis = type_basis(n, 2, 1, m)
-    index = {key: i for i, key in enumerate(basis)}
-    en = tuple([0] * (n - 1) + [1])
-    cols = []
-    for a in mons(n, 2):
-        if a[n - 1] == 0:
-            v = np.zeros(len(basis), dtype=complex)
-            v[index[a + en + (m,)]] = 1.0
-            cols.append(v)
-    return np.column_stack(cols) if cols else np.zeros((len(basis), 0), dtype=complex)
-
-
 def _clause_31(n, r, R, trunc, m):
     # Fischer complement of the line C * (<z',zbar'> p_R)
     Q, pr, _, _ = _ctx_polys(n, r, R, trunc)
@@ -259,7 +244,6 @@ def _clause_33_real(n, r, R, trunc, m):
 #: builders whose name ends in ``_real`` return stacked real bases.
 _CLAUSES = {
     (1, 1): _clause_11,
-    (2, 1): _clause_21,
     (3, 1): _clause_31,
     (2, 2): _clause_22,
     (3, 2): _clause_32,
@@ -272,7 +256,7 @@ _REAL_CLAUSES = {(3, 3)}
 def _clause_for(k, l):
     if (k, l) in _CLAUSES:
         return _CLAUSES[(k, l)], (k, l) in _REAL_CLAUSES
-    if l == 1 and k >= 4:
+    if l == 1:
         return _clause_k1(k), False
     return None, False
 
@@ -419,19 +403,33 @@ def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     return N, F - N
 
 
-def normal_space_dim(n, r, R, nu):
-    """Total real dimension of the remainder space at weighted degree nu."""
-    total = 0
-    for k in range(nu + 1):
-        for l in range(k + 1):
+def remainder_blocks(n, r, R, nu):
+    """Complex coefficient blocks of the remainder space at weighted degree nu.
+
+    Yields (keys, C) per type slice (k, l, m) with k >= l >= 1 and
+    k + l + 2m = nu: column j of C holds the monomial coefficients, at
+    keys, of the j-th real basis vector of the slice
+    (normal_slice_real_basis).  For k != l the keys and rows of the
+    conjugate (l, k) slice follow those of the slice itself, so each
+    column is a real series.  Entries of modulus <= STORE_TOL are 0.
+    """
+    for k in range(1, nu + 1):
+        for l in range(1, k + 1):
             m2 = nu - k - l
             if m2 < 0 or m2 % 2:
                 continue
             m = m2 // 2
-            if k == 0 or l == 0:
-                continue
-            # the stacked real basis of the (k,l) slice already carries the
-            # full real dimension of the conjugate pair {(k,l),(l,k)}
+            keys = type_basis(n, k, l, m)
+            d = len(keys)
             B = normal_slice_real_basis(n, r, R, k, l, m)
-            total += B.shape[1]
-    return total
+            C = B[:d] + 1j * B[d:]
+            C[np.abs(C) <= STORE_TOL] = 0.0
+            if k != l:
+                keys = keys + [key[n : 2 * n] + key[:n] + (m,) for key in keys]
+                C = np.vstack([C, C.conj()])
+            yield keys, C
+
+
+def normal_space_dim(n, r, R, nu):
+    """Total real dimension of the remainder space at weighted degree nu."""
+    return sum(C.shape[1] for _, C in remainder_blocks(n, r, R, nu))

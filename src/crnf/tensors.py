@@ -10,6 +10,7 @@ ambient coordinates (Z, Zbar).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,17 +26,15 @@ from .linalg import orthonormal_basis, nullspace
 
 @dataclass
 class CRFrame:
-    """Basis of CR vector fields and characteristic (1,0)-forms.
+    """Basis of CR vector fields.
 
     ``L[k]`` is a list of N series: the coefficients of the k-th CR field
-    over (d/dZbar^1 .. d/dZbar^N).  ``theta[l]`` is a list of N series:
-    coefficients of the l-th characteristic form over (dZ^1 .. dZ^N).
+    over (d/dZbar^1 .. d/dZbar^N).
     """
 
     N: int
     d: int
     L: list
-    theta: list
 
     @property
     def n(self):
@@ -94,8 +93,7 @@ def _series_matrix_inverse(W, W0inv, trunc):
 
 
 def cr_frame(M: GenericSubmanifold, tol=DEFAULT_TOL) -> CRFrame:
-    """Frame L_k = d/dZbar^k + sum_j mu_{kj} d/dZbar^{n+j} with L_k rho = 0,
-    and theta_l = 2i * sum_m (d rho_l / dZ^m) dZ^m."""
+    """Frame L_k = d/dZbar^k + sum_j mu_{kj} d/dZbar^{n+j} with L_k rho = 0."""
     N, d, n = M.N, M.d, M.n
     trunc = M.trunc
     W = [[M.rho_zb(l + 1, n + j + 1) for j in range(d)] for l in range(d)]
@@ -112,22 +110,15 @@ def cr_frame(M: GenericSubmanifold, tol=DEFAULT_TOL) -> CRFrame:
                 mu = mu + Winv[j][l] * v[l]
             coeffs[n + j] = -1.0 * mu
         L.append(coeffs)
-    theta = []
-    for l in range(d):
-        theta.append([2j * M.rho_z(l + 1, m + 1) for m in range(N)])
-    return CRFrame(N, d, L, theta)
+    return CRFrame(N, d, L)
 
 
 def frame_residual(M: GenericSubmanifold, frame: CRFrame):
-    """max norm of L_k rho_l and of <theta_l, L_k> over all k, l."""
+    """max norm of L_k rho_l over all k, l."""
     worst = 0.0
     for coeffs in frame.L:
         for r in M.rho:
             worst = max(worst, apply_field_bar(coeffs, r).norm())
-        for th in frame.theta:
-            # theta has only dZ components; L only d/dZbar: pairing is 0
-            # structurally, nothing to check beyond L rho = 0
-            pass
     return worst
 
 
@@ -252,7 +243,7 @@ def random_frame(M: GenericSubmanifold, rng, frame: CRFrame | None = None):
                 if c.norm():
                     coeffs[m2] = coeffs[m2] + fac * c
         newL.append(coeffs)
-    return CRFrame(N, M.d, newL, frame.theta)
+    return CRFrame(N, M.d, newL)
 
 
 def nondegeneracy(M: GenericSubmanifold, kmax, tol=DEFAULT_TOL):
@@ -323,9 +314,6 @@ class TensorRep:
         }
 
 
-_FACT = [1, 1, 2, 6, 24, 120, 720, 5040, 40320]
-
-
 def psi(M: GenericSubmanifold, j, frame: CRFrame | None = None, tol=DEFAULT_TOL) -> TensorRep:
     """Invariant tensor of order j at 0.
 
@@ -345,7 +333,7 @@ def psi(M: GenericSubmanifold, j, frame: CRFrame | None = None, tol=DEFAULT_TOL)
     if F.dim == 0:
         return TensorRep(j, np.zeros((n,) * j + (0, d), dtype=complex), F.basis, trivial=True)
     comp = np.zeros((n,) * j + (F.dim, d), dtype=complex)
-    fac = 1.0 / _FACT[j]
+    fac = 1.0 / math.factorial(j)
     for w in _words(n, j):
         idx = tuple(k - 1 for k in w)
         for l in range(d):
@@ -497,12 +485,13 @@ def cubic_form(M, frame=None, tol=DEFAULT_TOL) -> TensorRep:
 def tensors_report(M, kmax=3, tol=DEFAULT_TOL):
     Mg = _as_generic(M)
     kmax = min(kmax, Mg.trunc - 1)
-    Es = E_spaces(Mg, kmax, tol=tol)
+    frame = cr_frame(Mg)
+    Es = E_spaces(Mg, kmax, frame, tol)
     dims = [E.dim for E in Es]
     k = next((j for j, E in enumerate(Es) if E.dim == Mg.N), None)
     out_psi = {}
     for j in range(1, kmax + 1):
-        t = psi(Mg, j, tol=tol)
+        t = psi(Mg, j, frame, tol)
         out_psi[str(j)] = t.to_json()
         if t.trivial:
             break

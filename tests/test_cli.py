@@ -59,6 +59,12 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["k_nondeg"] == 1
 
+    def test_invariants_psi_beyond_order_eight(self, capsys):
+        argv = ["invariants", "z1*zb1*s", "--kmax", "9", "--trunc", "12", "--json"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["psi"]) == 9
+
     def test_partial_nf_case_and_lambda(self, capsys):
         code = main(["partial-nf", "z1*zb1 + zb2*z2^2 + z2*zb2^2", "--json"])
         assert code == 0

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crnf.series import MixedSeries
+from crnf.fischer import type_basis
 from crnf.hypersurfaces import Hypersurface, model_D, sphere
 from crnf.maps import FormalMap, apply_map
-from crnf.normal_space import is_in_normal_space, project_normal
+from crnf.normal_space import (
+    is_in_normal_space,
+    normal_slice_real_basis,
+    project_normal,
+)
 from crnf.full_nf import (
     NormalFormError,
     NormalizationP,
+    _get_system,
     check_G0,
     detect_model,
     factor_map,
@@ -161,6 +168,46 @@ class TestSolveL:
             D = (out.phi - M0.phi).weighted_component(nu)
             assert (D - sol.N).norm() < 1e-9 * max(1.0, F.norm())
             assert is_in_normal_space(sol.N, n - 1, R)
+
+    @pytest.mark.parametrize("nu", [4, 5])
+    def test_remainder_matches_slice_expansion_n4(self, nu, rng):
+        """N read back from the solved n = 4 system equals the remainder
+        coordinates expanded slice by slice through the stacked bases."""
+        n, R = 4, np.diag([1.0, 0.6, 0.3])
+        coeffs = {}
+        for k in range(nu + 1):
+            for l in range(nu + 1 - k):
+                if (nu - k - l) % 2 == 0:
+                    for key in type_basis(n, k, l, (nu - k - l) // 2):
+                        coeffs[key] = rng.normal() + 1j * rng.normal()
+        F = MixedSeries(n, nu, coeffs).realified()
+        sol = solve_L(F, n - 1, R)
+
+        sys_ = _get_system(n, n - 1, R, nu)
+        x = scipy.linalg.lu_solve(sys_.lu, sys_.rhs_of(F))
+        col = len(sys_.unknowns)
+        N = {}
+        for k in range(1, nu + 1):
+            for l in range(1, k + 1):
+                if nu - k - l < 0 or (nu - k - l) % 2:
+                    continue
+                m = (nu - k - l) // 2
+                basis = type_basis(n, k, l, m)
+                d = len(basis)
+                B = normal_slice_real_basis(n, n - 1, R, k, l, m)
+                xs = x[col : col + B.shape[1]]
+                col += B.shape[1]
+                for key, c in zip(basis, B[:d] @ xs + 1j * (B[d:] @ xs)):
+                    N[key] = N.get(key, 0.0) + c
+                    if k != l:
+                        ck = key[n : 2 * n] + key[:n] + (m,)
+                        N[ck] = N.get(ck, 0.0) + np.conj(c)
+        assert col == sys_.mat.shape[1]
+        oracle = MixedSeries(n, nu, N)
+        assert oracle.norm() > 0
+        assert (sol.N - oracle).norm() <= 1e-12 * max(1.0, oracle.norm())
+        assert is_in_normal_space(sol.N, n - 1, R)
+        assert sol.residual < 1e-9
 
 
 class TestNormalForm:

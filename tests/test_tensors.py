@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,18 @@ def test_basis_change_covariance():
 def test_tensors_report_sphere():
     rep = tensors_report(sphere(2, 6))
     assert rep["k_nondeg"] == 1
+
+
+def test_tensors_report_builds_the_frame_once(monkeypatch):
+    module = sys.modules["crnf.tensors"]
+    orig = module.cr_frame
+    calls = []
+
+    def counted(M, *args, **kwargs):
+        calls.append(M)
+        return orig(M, *args, **kwargs)
+
+    monkeypatch.setattr(module, "cr_frame", counted)
+    rep = tensors_report(model_D(2, 6, (1.0,)), kmax=3)
+    assert len(rep["psi"]) == 3
+    assert len(calls) == 1

@@ -4,14 +4,15 @@ Subcommands: invariants, partial-nf, normal-form, equiv, takagi,
 aut-bound.  Hypersurface inputs are either series-JSON files/strings or
 inline polynomial expressions over z1..zn, zb1..zbn, s (see parser).
 
-Exit codes: 0 success, 2 input error, 3 numerical failure of the graded
-solver.
+Exit codes: 0 success, 2 input error, 3 numerical failure: singular
+graded system, or an iteration that did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .parser import ParseError, parse_expression
 from .linalg import matrix_to_json, takagi
 from .tensors import tensors_report
 from .partial_nf import partial_nf, aut_dim_bound
-from .full_nf import NormalizationP, NormalFormError, normal_form, detect_model
+from .full_nf import NormalizationP, NormalFormError, normal_form, to_model_form
 from .equivalence import equivalent_to_degree
 
 __all__ = ["main", "parse_input"]
@@ -55,7 +56,7 @@ def parse_input(arg, trunc, tol=1e-9):
                 return GenericSubmanifold(rho, tol)
             sd = d["phi"] if "phi" in d else d
             return Hypersurface(MixedSeries.from_json_dict(sd), tol)
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError(str(e)) from e
     try:
         phi = parse_expression(text, trunc)
@@ -77,21 +78,11 @@ def _emit(payload, text_fn, as_json):
 def _load_normalization(path, n):
     if path is None:
         return NormalizationP.identity(n)
-    with open(path) as fh:
-        return NormalizationP.from_json_dict(json.load(fh))
-
-
-def _ensure_model(M, tol):
-    """(model-form hypersurface, note) — runs the third-order
-    normalization when the input is not already in model form."""
     try:
-        detect_model(M, tol)
-        return M, None
-    except ValueError:
-        from .partial_nf import generic_partial_nf
-
-        res = generic_partial_nf(M, tol)
-        return res.M_out, "input was brought to third-order model form first"
+        with open(path) as fh:
+            return NormalizationP.from_json_dict(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise InputError(f"cannot read normalization {path!r}: {e!r}") from e
 
 
 def _cmd_invariants(args):
@@ -125,14 +116,14 @@ def _cmd_partial_nf(args):
 
 
 def _cmd_normal_form(args):
-    M = parse_input(args.input, args.trunc, args.tol)
-    M, note = _ensure_model(M, args.tol)
+    given = parse_input(args.input, args.trunc, args.tol)
+    M = to_model_form(given, args.tol)
     P = _load_normalization(args.normalization, M.n)
     degree = args.degree if args.degree is not None else args.trunc
     res = normal_form(M, P, degree, args.tol)
     payload = res.to_json_dict()
-    if note:
-        payload["note"] = note
+    if M is not given:
+        payload["note"] = "input was brought to third-order model form first"
 
     def text(d):
         for row in d["diagnostics"]["per_degree"]:
@@ -209,6 +200,8 @@ def _cmd_takagi(args):
 
 def _cmd_aut_bound(args):
     lam = [float(x) for x in args.lam]
+    if not all(math.isfinite(x) for x in lam):
+        raise InputError("lambda entries must be finite")
     if len(lam) != args.n - 1:
         raise InputError("lambda must have n-1 entries")
     bound = aut_dim_bound(args.n, lam, args.tol)

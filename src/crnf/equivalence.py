@@ -29,9 +29,9 @@ from .partial_nf import partial_nf
 from .full_nf import (
     NormalizationP,
     check_G0,
-    detect_model,
     factor_map,
     normal_form,
+    to_model_form,
     validate_P,
 )
 
@@ -116,18 +116,6 @@ class EquivalenceReport:
         return out
 
 
-def _to_model(M: Hypersurface, res, tol):
-    """M if it is in third-order model form, else the output of its
-    third-order normalization res = partial_nf(M)."""
-    try:
-        detect_model(M, tol)
-        return M
-    except ValueError:
-        if res.case not in ("generic", "semidef_iii"):
-            raise ValueError("hypersurface does not have a generic Levi degeneracy")
-        return res.M_out
-
-
 def equivalent_to_degree(
     M: Hypersurface,
     M2: Hypersurface,
@@ -156,8 +144,8 @@ def equivalent_to_degree(
             degree=degree,
             note="invariant signatures differ; normal forms not compared",
         )
-    A = _to_model(M, res1, tol)
-    B = _to_model(M2, res2, tol)
+    A = to_model_form(M, tol, res1)
+    B = to_model_form(M2, tol, res2)
     if P is None:
         P = NormalizationP.identity(M.n)
     if P2 is None:

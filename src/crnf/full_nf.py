@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, NormalFormError
 from .fischer import mons
 from .hypersurfaces import (
     Hypersurface,
@@ -43,6 +43,7 @@ from .hypersurfaces import (
     p_R_poly,
 )
 from .maps import FormalMap, apply_map
+from .partial_nf import levi_matrix_of, partial_nf
 from .normal_space import (
     S_R_apply,
     eps_signs,
@@ -65,11 +66,8 @@ __all__ = [
     "factor_map",
     "model_phi",
     "detect_model",
+    "to_model_form",
 ]
-
-
-class NormalFormError(RuntimeError):
-    """Numerical failure of the graded solver (singular system)."""
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ class NormalizationP:
     def from_json_dict(cls, d):
         from .linalg import matrix_from_json
 
-        return cls(
+        P = cls(
             n=int(d["n"]),
             c=float(d["c"]),
             A=matrix_from_json(d["A"]),
@@ -198,6 +196,11 @@ class NormalizationP:
             cdiag=np.asarray(d["cdiag"], dtype=float),
             d2=matrix_from_json(d["d2"]).ravel(),
         )
+        # to_map would skip a NaN entry as if it were below STORE_TOL
+        params = (P.c, P.A, P.B, P.a3, P.bl, P.cdiag, P.d2)
+        if not all(np.isfinite(x).all() for x in params):
+            raise ValueError("normalization parameters must be finite")
+        return P
 
 
 def validate_P(P: NormalizationP, r, R, tol=DEFAULT_TOL):
@@ -510,15 +513,7 @@ def detect_model(M: Hypersurface, tol=DEFAULT_TOL):
     n = M.n
     phi2 = M.phi.weighted_component(2)
     phi3 = M.phi.weighted_component(3)
-    zero = (0,) * n
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            ei = [0] * n
-            ei[i] = 1
-            ej = [0] * n
-            ej[j] = 1
-            g[i, j] = phi2.coeff(tuple(ej), tuple(ei), 0)
+    g = levi_matrix_of(phi2)
     diag = np.real(np.diag(g))
     if np.linalg.norm(g - np.diag(diag)) > tol:
         raise ValueError("second-order part is not diagonal; run partial_nf first")
@@ -556,6 +551,21 @@ def detect_model(M: Hypersurface, tol=DEFAULT_TOL):
     if abs(phi3.coeff(tuple(e2), en, 0) - 1.0) > tol:
         raise ValueError("the (z^n)^2 zbar^n cubic coefficient must be 1")
     return r, R
+
+
+def to_model_form(M: Hypersurface, tol=DEFAULT_TOL, res=None) -> Hypersurface:
+    """M itself if it is in third-order model form, else the output of its
+    third-order normalization; ``res`` is partial_nf(M) when already known.
+    Raises ValueError unless M has a generic Levi degeneracy."""
+    try:
+        detect_model(M, tol)
+        return M
+    except ValueError:
+        if res is None:
+            res = partial_nf(M, tol)
+    if res.case not in ("generic", "semidef_iii"):
+        raise ValueError("hypersurface does not have a generic Levi degeneracy")
+    return res.M_out
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, _compose_terms
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
 
 
 class Hypersurface:
@@ -53,29 +53,13 @@ class Hypersurface:
         """
         n, T = self.n, self.trunc
         N = n + 1
-        nslots_out = 2 * N + 1
-        weights_out = (1,) * (2 * N) + (2,)
-        # images of (z, zbar, s) inside C^N coordinates (Z, Zbar)
-        images = []
-        for i in range(n):
-            e = [0] * nslots_out
-            e[i] = 1
-            images.append(("mono", tuple(e), 1.0))
-        for i in range(n):
-            e = [0] * nslots_out
-            e[N + i] = 1
-            images.append(("mono", tuple(e), 1.0))
-        ew = [0] * nslots_out
-        ew[N - 1] = 1
-        ewb = [0] * nslots_out
-        ewb[2 * N - 1] = 1
-        images.append(("series", {tuple(ew): 0.5, tuple(ewb): 0.5}))
-        terms = _compose_terms(
-            self.phi.coeffs, self.phi.weights, images, nslots_out, weights_out, T
+        Z = [MixedSeries.variable(N, T, "z", i + 1) for i in range(N)]
+        Zb = [MixedSeries.variable(N, T, "zb", i + 1) for i in range(N)]
+        # w = Z[n] has weight 1 in C^{n+1}, hence allow_const
+        phi = self.phi.subs(
+            z=Z[:n], zb=Zb[:n], s=(Z[n] + Zb[n]) * 0.5, allow_const=True
         )
-        rho = MixedSeries(N, T, terms)
-        rho = rho + MixedSeries(N, T, {tuple(ew): 0.5j, tuple(ewb): -0.5j})
-        return GenericSubmanifold([rho])
+        return GenericSubmanifold([phi + 0.5j * (Z[n] - Zb[n])])
 
     def __repr__(self):
         return f"Hypersurface(n={self.n}, trunc={self.trunc}, phi={self.phi})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, fixed_point
 from .hypersurfaces import Hypersurface
 
 
@@ -116,45 +116,34 @@ class FormalMap:
         if abs(np.linalg.det(A)) <= tol or abs(c) <= tol:
             raise ValueError("map is not formally invertible")
         Ainv = np.linalg.inv(A)
-        Q = self.weight2_zform()
-        # weighted-linear part L: z -> Az, w -> c w + z^T Q z; seed with L^{-1}
         zs = [MixedSeries.variable(n, T, "z", j + 1) for j in range(n)]
         w = MixedSeries.variable(n, T, "s")
-        s_fs = []
-        for i in range(n):
-            f = MixedSeries.zero(n, T)
-            for j in range(n):
-                if abs(Ainv[i, j]) > STORE_TOL:
-                    f = f + Ainv[i, j] * zs[j]
-            s_fs.append(f)
-        Qt = Ainv.T @ Q @ Ainv
-        qterm = MixedSeries.zero(n, T)
+        zero = MixedSeries.zero(n, T)
+
+        def times_Ainv(vs):
+            return [
+                sum((a * v for a, v in zip(row, vs) if abs(a) > STORE_TOL), zero)
+                for row in Ainv
+            ]
+
+        # weighted-linear part L: z -> Az, w -> c w + z^T Q z; seed with L^{-1}
+        Qt = Ainv.T @ self.weight2_zform() @ Ainv
+        qterm = zero
         for i in range(n):
             for j in range(n):
                 if abs(Qt[i, j]) > STORE_TOL:
                     qterm = qterm + Qt[i, j] * (zs[i] * zs[j])
-        S = FormalMap(s_fs, (w - qterm) * (1.0 / c), check=False)
-        ident = FormalMap.identity(n, T)
-        for _ in range(T + 2):
+        S = FormalMap(times_Ainv(zs), (w - qterm) * (1.0 / c), check=False)
+
+        def defect(S):
             TS = self.compose(S)
-            dz = [iz - tz for iz, tz in zip(ident.fs, TS.fs)]
-            dw = ident.g - TS.g
-            defect = max([d.norm() for d in dz] + [dw.norm()])
-            if defect <= STORE_TOL:
-                break
-            corr_z = []
-            for i in range(n):
-                ci = MixedSeries.zero(n, T)
-                for j in range(n):
-                    if abs(Ainv[i, j]) > STORE_TOL:
-                        ci = ci + Ainv[i, j] * dz[j]
-                corr_z.append(ci)
-            S = FormalMap(
-                [f + cz for f, cz in zip(S.fs, corr_z)],
-                S.g + dw * (1.0 / c),
-                check=False,
-            )
-        return S
+            return [z - f for z, f in zip(zs, TS.fs)] + [w - TS.g]
+
+        def correct(S, r):
+            fs = [f + cz for f, cz in zip(S.fs, times_Ainv(r[:n]))]
+            return FormalMap(fs, S.g + r[n] * (1.0 / c), check=False)
+
+        return fixed_point(defect, correct, S, T, tol, "FormalMap.inverse")
 
     # -- serialization -----------------------------------------------------
 
@@ -199,18 +188,24 @@ def apply_map(M: Hypersurface, T: FormalMap, tol=DEFAULT_TOL) -> Hypersurface:
     if abs(c0) <= tol:
         raise ValueError("degenerate w-component after inversion")
     svar = MixedSeries.variable(n, trunc, "s")
-    t = MixedSeries.zero(n, trunc)
-    for _ in range(trunc + 2):
+
+    def defect(t):
         # evaluate S at w = s + i t; t is O(2) up to rounding, so the image
         # checks of subs are skipped
         wimg = svar + 1j * t
         F = [f.subs(s=wimg, allow_const=True) for f in S.fs]
         G = S.g.subs(s=wimg, allow_const=True)
         Fb = [f.conj() for f in F]
-        val = -G.im_part() + M.phi.subs(z=F, zb=Fb, s=G.re_part())
-        if val.norm() <= STORE_TOL:
-            break
-        t = (t + val * (1.0 / c0)).realified()
+        return [-G.im_part() + M.phi.subs(z=F, zb=Fb, s=G.re_part())]
+
+    t = fixed_point(
+        defect,
+        lambda t, r: (t + r[0] * (1.0 / c0)).realified(),
+        MixedSeries.zero(n, trunc),
+        trunc,
+        tol,
+        "apply_map",
+    )
     return Hypersurface(t.realified(), tol)
 
 
@@ -227,25 +222,28 @@ def to_regular(M: Hypersurface, tol=DEFAULT_TOL):
 
     Returns (M_regular, T) with M_regular the image of M under T.
     """
-    n = M.n
-    trunc = M.trunc
-    total = FormalMap.identity(n, trunc)
-    cur = M
-    for _ in range(trunc + 2):
-        pure = _pure_part(cur.phi)
-        if pure.norm() <= STORE_TOL:
-            break
+    n, trunc = M.n, M.trunc
+    zero = (0,) * n
+    ident = FormalMap.identity(n, trunc)
+
+    def correct(state, pure):
+        cur, total = state
         # chi = P(z, w) + r(w)/2 with P the z-dependent pure part, r the
         # pure (re w)-part; the change w -> w - 2i chi cancels the lowest
         # pure terms of phi
-        zero = (0,) * n
         chi = MixedSeries(
             n,
             trunc,
-            {k: (0.5 if k[:n] == zero else 1.0) * v for k, v in pure.coeffs.items()},
+            {k: (0.5 if k[:n] == zero else 1.0) * v for k, v in pure[0].coeffs.items()},
         )
-        ident = FormalMap.identity(n, trunc)
         T = FormalMap(ident.fs, ident.g - 2j * chi, check=False)
-        cur = apply_map(cur, T, tol)
-        total = T.compose(total)
-    return cur, total
+        return apply_map(cur, T, tol), T.compose(total)
+
+    return fixed_point(
+        lambda state: [_pure_part(state[0].phi)],
+        correct,
+        (M, ident),
+        trunc,
+        tol,
+        "to_regular",
+    )

@@ -15,6 +15,8 @@ Errors carry line and column positions.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from dataclasses import dataclass
 
@@ -108,19 +110,26 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
+    def finite(self, f, tok):
+        """f, unless a coefficient overflowed; checked after every operation
+        because the series arithmetic drops a NaN coefficient as if zero."""
+        if not all(cmath.isfinite(v) for v in f.coeffs.values()):
+            self.fail("number out of range", tok)
+        return f
+
     def expr(self):
         t = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+            op = self.take()
             rhs = self.term()
-            t = t + rhs if op == "+" else t - rhs
+            t = self.finite(t + rhs if op.kind == "+" else t - rhs, op)
         return t
 
     def term(self):
         f = self.factor()
         while self.peek().kind == "*":
-            self.take()
-            f = f * self.factor()
+            op = self.take()
+            f = self.finite(f * self.factor(), op)
         return f
 
     def factor(self):
@@ -134,13 +143,15 @@ class _Parser:
             e = int(p.value)
             out = MixedSeries.constant(self.n, self.trunc, 1.0)
             for _ in range(e):
-                out = out * a
+                out = self.finite(out * a, tok)
             return out
         return a
 
     def atom(self):
         t = self.take()
         if t.kind == "num":
+            if not math.isfinite(t.value):
+                self.fail("number out of range", t)
             return MixedSeries.constant(self.n, self.trunc, t.value)
         if t.kind == "i":
             return MixedSeries.constant(self.n, self.trunc, 1j)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, NormalFormError
 from .hypersurfaces import Hypersurface
 from .maps import FormalMap, apply_map, to_regular
 from .linalg import hermitian_eig, takagi, matrix_to_json
@@ -154,7 +154,7 @@ def _kill_quadratic(cur: Hypersurface, total: FormalMap, r, s, tol=DEFAULT_TOL):
     k2 = cubic_coeffs(cur.phi)
     res = np.max(np.abs(k2[:, :, : r + s]), initial=0.0)
     if res > 1e3 * tol:
-        raise RuntimeError(f"cubic normalization failed, residual {res:.3e}")
+        raise NormalFormError(f"cubic normalization failed, residual {res:.3e}")
     return cur, total
 
 
@@ -411,7 +411,7 @@ def partial_nf(M: Hypersurface, tol=DEFAULT_TOL) -> PartialNFResult:
         h2 = cubic_coeffs(cur.phi)[:, :, r + s :]
         Hfin = h2[:, :, 0]
         if np.max(np.abs(Hfin - cls.H_target)) > 1e3 * tol * scale:
-            raise RuntimeError("classification map did not reach the target form")
+            raise NormalFormError("classification map did not reach the target form")
         case = {"i": "semidef_i", "ii": "semidef_ii", "iii": "semidef_iii"}[cls.case]
         bound = aut_dim_bound(n, cls.lam) if cls.case == "iii" else None
         return PartialNFResult(r, s, case, cls.lam, None, total, cur, bound)

@@ -17,6 +17,7 @@ all operations return new objects.  Terms of weighted degree above
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -29,6 +30,11 @@ STORE_TOL = 1e-13
 
 # threshold (pair count) below which plain dict loops beat the array product
 _SMALL_MUL = 600
+
+
+class NormalFormError(RuntimeError):
+    """Numerical failure: a singular graded system, or an iteration that
+    did not converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +547,11 @@ class MixedSeries:
             m = int(t["s"])
             if len(a) != n or len(b) != n:
                 raise ValueError("exponent length does not match n")
+            c = complex(t["re"], t["im"])
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c}")
             key = a + b + (m,)
-            coeffs[key] = coeffs.get(key, 0.0) + complex(t["re"], t["im"])
+            coeffs[key] = coeffs.get(key, 0.0) + c
         return cls(n, trunc, coeffs)
 
     def __str__(self):
@@ -569,6 +578,33 @@ class MixedSeries:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point iteration
+
+
+def fixed_point(defect, correct, x, trunc, tol, what):
+    """Iterate ``x <- correct(x, r)`` with ``r = defect(x)``, a list of series.
+
+    Each round of the formal equations solved here fixes at least one more
+    weighted degree, so ``trunc + 2`` rounds suffice.  The loop stops early
+    once the residual has no stored coefficient.  If the budget runs out,
+    the iterate is returned only if its residual is at most ``tol``;
+    otherwise NormalFormError names the loop ``what``.
+    """
+    rounds = trunc + 2
+    for _ in range(rounds):
+        r = defect(x)
+        if max((d.norm() for d in r), default=0.0) <= STORE_TOL:
+            return x
+        x = correct(x, r)
+    res = max((d.norm() for d in defect(x)), default=0.0)
+    if res > tol:
+        raise NormalFormError(
+            f"{what} did not converge in {rounds} rounds (defect {res:.3e})"
+        )
+    return x
+
+
+# ---------------------------------------------------------------------------
 # graph form <-> complex form
 
 
@@ -582,26 +618,32 @@ def graph_to_complex(phi: MixedSeries, tol=DEFAULT_TOL) -> MixedSeries:
         raise ValueError("phi must be a real series")
     n, trunc = phi.n, phi.trunc
     wbar = MixedSeries.variable(n, trunc, "s")
-    Q = wbar
-    for _ in range(trunc + 2):
-        newQ = wbar + 2j * phi.subs(s=(Q + wbar) * 0.5)
-        if (newQ - Q).norm() <= STORE_TOL:
-            Q = newQ
-            break
-        Q = newQ
-    return Q
+    return fixed_point(
+        lambda Q: [wbar + 2j * phi.subs(s=(Q + wbar) * 0.5) - Q],
+        lambda Q, r: Q + r[0],
+        wbar,
+        trunc,
+        tol,
+        "graph_to_complex",
+    )
 
 
 def complex_to_graph(Q: MixedSeries, tol=DEFAULT_TOL) -> MixedSeries:
     """Inverse of graph_to_complex: recover phi with im w = phi(z,zbar,re w)."""
     n, trunc = Q.n, Q.trunc
     s = MixedSeries.variable(n, trunc, "s")
-    phi = MixedSeries.zero(n, trunc)
-    for _ in range(trunc + 2):
+
+    def defect(phi):
         # w = Q(z,zbar,wbar), wbar = s - i*phi  =>  phi = (Q - (s - i*phi))/(2i)
-        rhs = (Q.subs(s=s - 1j * phi) - (s - 1j * phi)) * (-0.5j)
-        if (rhs - phi).norm() <= STORE_TOL:
-            phi = rhs
-            break
-        phi = rhs
+        wbar = s - 1j * phi
+        return [(Q.subs(s=wbar) - wbar) * (-0.5j) - phi]
+
+    phi = fixed_point(
+        defect,
+        lambda phi, r: phi + r[0],
+        MixedSeries.zero(n, trunc),
+        trunc,
+        tol,
+        "complex_to_graph",
+    )
     return phi.realified()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import DEFAULT_TOL, MixedSeries
+from .series import DEFAULT_TOL, MixedSeries, fixed_point
 from .hypersurfaces import GenericSubmanifold, Hypersurface
 from .linalg import orthonormal_basis, nullspace
 
@@ -41,74 +41,42 @@ class CRFrame:
         return self.N - self.d
 
 
-def _series_matrix_inverse(W, W0inv, trunc):
-    """Inverse of a d x d matrix of series with invertible constant part.
-
-    W0inv is the numeric inverse of the constant term; returns the d x d
-    list-of-lists of series via a truncated geometric series.
-    """
-    d = len(W)
-    N = W[0][0].n
-    const = [
-        [MixedSeries.constant(N, trunc, complex(W0inv[i, j])) for j in range(d)]
-        for i in range(d)
-    ]
-    # X = W0inv (W - W0), no constant term
-    X = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = MixedSeries.zero(N, trunc)
-            for k in range(d):
-                acc = acc + const[i][k] * W[k][j]
-            if i == j:
-                acc = acc - 1.0
-            row.append(acc)
-        X.append(row)
-    # inv = (sum_k (-X)^k) W0inv
-    acc = [[MixedSeries.constant(N, trunc, 1.0 if i == j else 0.0) for j in range(d)] for i in range(d)]
-    power = acc
-    for _ in range(trunc):
-        nxt = [[MixedSeries.zero(N, trunc) for _ in range(d)] for _ in range(d)]
-        top = 0.0
-        for i in range(d):
-            for j in range(d):
-                s = MixedSeries.zero(N, trunc)
-                for k in range(d):
-                    s = s + power[i][k] * (-1.0 * X[k][j])
-                nxt[i][j] = s
-                top = max(top, s.norm())
-        if top == 0.0:
-            break
-        power = nxt
-        acc = [[acc[i][j] + power[i][j] for j in range(d)] for i in range(d)]
-    out = [[MixedSeries.zero(N, trunc) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            s = MixedSeries.zero(N, trunc)
-            for k in range(d):
-                s = s + acc[i][k] * const[k][j]
-            out[i][j] = s
-    return out
-
-
 def cr_frame(M: GenericSubmanifold, tol=DEFAULT_TOL) -> CRFrame:
     """Frame L_k = d/dZbar^k + sum_j mu_{kj} d/dZbar^{n+j} with L_k rho = 0."""
     N, d, n = M.N, M.d, M.n
     trunc = M.trunc
     W = [[M.rho_zb(l + 1, n + j + 1) for j in range(d)] for l in range(d)]
     W0inv = np.linalg.inv(M.dbar_block0())
-    Winv = _series_matrix_inverse(W, W0inv, trunc)
+
+    # W^{-1} solves W X = I; each round corrects X by W0^{-1} (I - W X) with
+    # W0 the constant part of W.  X is a row-major flat list.
+    def defect(X):
+        r = []
+        for i in range(d):
+            for j in range(d):
+                acc = MixedSeries.constant(N, trunc, 1.0 if i == j else 0.0)
+                for k in range(d):
+                    acc = acc - W[i][k] * X[k * d + j]
+                r.append(acc)
+        return r
+
+    def correct(X, r):
+        return [
+            sum((r[k * d + j] * complex(W0inv[i, k]) for k in range(d)), X[i * d + j])
+            for i in range(d)
+            for j in range(d)
+        ]
+
+    X0 = [MixedSeries.constant(N, trunc, complex(c)) for c in W0inv.ravel()]
+    Winv = fixed_point(defect, correct, X0, trunc, tol, "cr_frame")
     L = []
     for k in range(n):
         v = [M.rho_zb(l + 1, k + 1) for l in range(d)]
         coeffs = [MixedSeries.zero(N, trunc) for _ in range(N)]
         coeffs[k] = MixedSeries.constant(N, trunc, 1.0)
         for j in range(d):
-            mu = MixedSeries.zero(N, trunc)
-            for l in range(d):
-                mu = mu + Winv[j][l] * v[l]
-            coeffs[n + j] = -1.0 * mu
+            terms = (Winv[j * d + l] * v[l] for l in range(d))
+            coeffs[n + j] = -1.0 * sum(terms, MixedSeries.zero(N, trunc))
         L.append(coeffs)
     return CRFrame(N, d, L)
 

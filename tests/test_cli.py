@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expression("z1*zb3", 8, n=2)
 
+    @pytest.mark.parametrize("text", ["1e400*z1*zb1", "1e200*1e200*z1*zb1"])
+    def test_non_finite_number_rejected(self, text):
+        with pytest.raises(ParseError, match="out of range"):
+            parse_expression(text, 8)
+
     def test_line_numbers(self):
         with pytest.raises(ParseError) as e:
             parse_expression("z1*zb1 +\n  @", 8)
@@ -45,6 +51,15 @@ class TestParseInput:
         p.write_text(json.dumps(M.phi.to_json_dict()))
         M2 = parse_input(str(p), 8)
         assert (M2.phi - M.phi).norm() == 0.0
+
+    @pytest.mark.parametrize(
+        "text", ['{"rho": 5}', '{"n": 1, "trunc": 4, "terms": [{"z": 1}]}']
+    )
+    def test_mistyped_json_rejected(self, text):
+        from crnf.cli import InputError
+
+        with pytest.raises(InputError):
+            parse_input(text, 8)
 
     def test_non_real_rejected(self):
         from crnf.cli import InputError
@@ -100,6 +115,39 @@ class TestCommands:
 
     def test_input_error_exit_code(self, capsys):
         assert main(["partial-nf", "z1*"]) == 2
+
+    def test_non_finite_input_exit_code(self, capsys):
+        assert main(["partial-nf", "1e400*z1*zb1"]) == 2
+        assert main(["aut-bound", "2", "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bad_normalization_file_exit_code(self, tmp_path, capsys):
+        from crnf.full_nf import NormalizationP
+
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(json.dumps({"n": 2}))
+        d = NormalizationP.identity(2).to_json_dict()
+        d["d2"][0][0][0] = float("nan")
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps(d))
+        expr = "z1*zb1 + zb2*z2^2 + z2*zb2^2"
+        for path in (tmp_path / "missing.json", truncated, nan):
+            assert main(["normal-form", expr, "--normalization", str(path)]) == 2
+        assert "normalization" in capsys.readouterr().err
+
+    def test_partial_nf_target_check_exit_code(self, monkeypatch, capsys):
+        # the submodule, not the function of the same name on the package
+        pnf = sys.modules["crnf.partial_nf"]
+        cubic_coeffs = pnf.cubic_coeffs
+
+        def perturbed(phi):
+            k = cubic_coeffs(phi)
+            k[:, :, -1] += 0.1
+            return k
+
+        monkeypatch.setattr(pnf, "cubic_coeffs", perturbed)
+        assert main(["partial-nf", "z1*zb1 + zb2*z2^2 + z2*zb2^2"]) == 3
+        assert "target form" in capsys.readouterr().err
 
     def test_bad_degree_exit_code(self, capsys):
         assert main(["normal-form", "z1*zb1", "--degree", "12"]) == 2

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from crnf.series import (
     DEFAULT_TOL,
     MixedSeries,
+    NormalFormError,
     complex_to_graph,
+    fixed_point,
     graph_to_complex,
 )
 
@@ -155,11 +157,45 @@ class TestGraphComplexRoundTrip:
         assert (complex_to_graph(Q) - phi).norm() < 1e-10
 
 
+class TestFixedPoint:
+    def test_settling_step_returns_iterate(self):
+        # x = 1 + z x has the truncated geometric series as its solution
+        one = MixedSeries.constant(1, 4, 1.0)
+        zz = z(1, 4, 1)
+        x = fixed_point(
+            lambda x: [one + zz * x - x],
+            lambda x, r: x + r[0],
+            MixedSeries.zero(1, 4),
+            4,
+            DEFAULT_TOL,
+            "geometric",
+        )
+        assert (x - (one + zz + zz**2 + zz**3 + zz**4)).norm() == 0.0
+
+    def test_step_that_never_settles_raises(self):
+        one = MixedSeries.constant(1, 4, 1.0)
+        with pytest.raises(NormalFormError, match="drift did not converge in 6 rounds"):
+            fixed_point(
+                lambda x: [one],
+                lambda x, r: x + r[0],
+                MixedSeries.zero(1, 4),
+                4,
+                DEFAULT_TOL,
+                "drift",
+            )
+
+
 class TestSerialization:
     def test_round_trip(self, rng):
         f = MixedSeries.monomial(2, 6, (1, 0), (0, 2), 1, 0.5 - 0.25j) + s(2, 6)
         g = MixedSeries.from_json_dict(f.to_json_dict())
         assert (f - g).norm() == 0.0
+
+    def test_non_finite_coefficient_rejected(self):
+        d = MixedSeries.monomial(1, 4, (1,), (1,), 0, 1.0).to_json_dict()
+        d["terms"][0]["re"] = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedSeries.from_json_dict(d)
 
     def test_holo_round_trip(self):
         f = MixedSeries.monomial(2, 6, (1, 2), (0, 0), 1, 1j) + MixedSeries.variable(2, 6, "s")

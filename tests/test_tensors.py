@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from crnf.hypersurfaces import flat, model_D, sphere
+from crnf.hypersurfaces import GenericSubmanifold, flat, model_D, sphere
+from crnf.series import MixedSeries
 from crnf.linalg import principal_angle_gap
 from crnf.tensors import (
     E_spaces,
@@ -26,6 +27,23 @@ def test_frame_annihilates_defining_series():
     M = model_D(3, 6, (1.0, 0.5)).to_generic()
     frame = cr_frame(M)
     assert frame_residual(M, frame) < 1e-10
+
+
+def test_codimension_two_frame_and_nondegeneracy():
+    """Generic submanifold of C^4 (z1, z2, w1, w2) with two defining series."""
+    N, T = 4, 6
+    z1, z2, w1, w2 = [MixedSeries.variable(N, T, "z", k + 1) for k in range(N)]
+    zb1, zb2, wb1, wb2 = [MixedSeries.variable(N, T, "zb", k + 1) for k in range(N)]
+    # rho_l = -im w_l + ..., with -im w = (i/2)(w - wbar)
+    rho1 = 0.5j * (w1 - wb1) + z1 * zb1 + (0.3 * z1 * z2 * wb2).re_part()
+    rho1 = rho1 + (0.2 * z2 * wb1 * wb2).re_part()
+    rho2 = 0.5j * (w2 - wb2) + z2 * zb2 + (0.4 * z1 * wb1 * zb2).re_part()
+    rho2 = rho2 + (0.1j * w1 * wb2 * zb1).re_part()
+    M = GenericSubmanifold([rho1, rho2])
+    frame = cr_frame(M)
+    assert frame_residual(M, frame) < 1e-10
+    assert [E.dim for E in E_spaces(M, 3, frame)] == [2, 4, 4, 4]
+    assert nondegeneracy(M, 3) == 1
 
 
 def test_sphere_levi_is_identity():

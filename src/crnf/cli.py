@@ -270,6 +270,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if not 0 < args.tol < math.inf:
+            raise InputError(f"--tol must be finite and > 0, got {args.tol}")
+        if getattr(args, "kmax", 0) < 0:
+            raise InputError(f"--kmax must be >= 0, got {args.kmax}")
         if hasattr(args, "degree") and args.degree is not None:
             if args.degree < 4 or args.degree > args.trunc:
                 raise InputError("need trunc >= degree >= 4")

@@ -112,7 +112,7 @@ class _Parser:
 
     def finite(self, f, tok):
         """f, unless a coefficient overflowed; checked after every operation
-        because the series arithmetic drops a NaN coefficient as if zero."""
+        so that the error points at the operator that overflowed."""
         if not all(cmath.isfinite(v) for v in f.coeffs.values()):
             self.fail("number out of range", tok)
         return f
@@ -137,14 +137,10 @@ class _Parser:
         if self.peek().kind == "^":
             tok = self.take()
             p = self.peek()
-            if p.kind != "num" or p.value != int(p.value):
+            if p.kind != "num" or not math.isfinite(p.value) or p.value != int(p.value):
                 self.fail("exponent must be a nonnegative integer")
             self.take()
-            e = int(p.value)
-            out = MixedSeries.constant(self.n, self.trunc, 1.0)
-            for _ in range(e):
-                out = self.finite(out * a, tok)
-            return out
+            return self.finite(a ** int(p.value), tok)
         return a
 
     def atom(self):

@@ -12,7 +12,8 @@ Composing maps, and evaluating a component at ``w = s + i t``, are both
 Coefficients are complex binary64.  Series are immutable once built;
 all operations return new objects.  Terms of weighted degree above
 ``trunc`` are discarded eagerly, and coefficients of modulus below
-``STORE_TOL`` are never stored.
+``STORE_TOL`` are never stored.  A NaN coefficient is kept, so that a
+numerical failure shows in ``norm()`` instead of vanishing.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _clean(terms, weights, trunc):
     return {
         k: complex(v)
         for k, v in terms.items()
-        if abs(v) > STORE_TOL and _wdeg(k, weights) <= trunc
+        if not abs(v) <= STORE_TOL and _wdeg(k, weights) <= trunc
     }
 
 
@@ -95,7 +96,7 @@ def _mul_dict(A, B, weights, trunc):
                     continue
                 k = tuple(x + y for x, y in zip(ka, kb))
                 out[k] = out.get(k, 0.0) + va * vb
-        return {k: v for k, v in out.items() if abs(v) > STORE_TOL}
+        return {k: v for k, v in out.items() if not abs(v) <= STORE_TOL}
     expA = np.array(list(A.keys()), dtype=np.int64).reshape(len(A), len(weights))
     valA = np.fromiter(A.values(), dtype=np.complex128, count=len(A))
     expB = np.array(list(B.keys()), dtype=np.int64).reshape(len(B), len(weights))
@@ -104,7 +105,7 @@ def _mul_dict(A, B, weights, trunc):
     exps, vals = _mul_arrays(expA, valA, expB, valB, warr, trunc)
     out = {}
     for row, v in zip(exps, vals):
-        if abs(v) > STORE_TOL:
+        if not abs(v) <= STORE_TOL:
             out[tuple(int(e) for e in row)] = complex(v)
     return out
 
@@ -217,7 +218,7 @@ def _compose_terms(terms, weights_in, images, nslots_out, weights_out, trunc):
             continue
         key = exp[npend:]
         out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if abs(v) > STORE_TOL}
+    return {k: v for k, v in out.items() if not abs(v) <= STORE_TOL}
 
 
 def _as_image(img, base_exp, nslots_out):
@@ -299,7 +300,9 @@ class MixedSeries:
         return self.coeffs.get(tuple(a) + tuple(b) + (m,), 0.0 + 0.0j)
 
     def norm(self):
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        """Largest coefficient modulus; NaN if a coefficient is NaN."""
+        a = list(map(abs, self.coeffs.values()))
+        return math.nan if math.isnan(sum(a)) else max(a, default=0.0)
 
     def is_zero(self, tol=DEFAULT_TOL):
         return self.norm() <= tol
@@ -352,11 +355,17 @@ class MixedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if e == 0:
-            return MixedSeries.constant(self.n, self.trunc, 1.0)
-        out = self
-        for _ in range(e - 1):
-            out = out * self
+        """Power by repeated squaring, for an integer e >= 0."""
+        if e < 0:
+            raise ValueError("a series power needs an exponent >= 0")
+        out = MixedSeries.constant(self.n, self.trunc, 1.0)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def conj(self):
@@ -586,18 +595,27 @@ def fixed_point(defect, correct, x, trunc, tol, what):
 
     Each round of the formal equations solved here fixes at least one more
     weighted degree, so ``trunc + 2`` rounds suffice.  The loop stops early
-    once the residual has no stored coefficient.  If the budget runs out,
-    the iterate is returned only if its residual is at most ``tol``;
-    otherwise NormalFormError names the loop ``what``.
+    once the residual has no stored coefficient.  The residual ``res`` is the
+    largest coefficient modulus of ``r``.  After the budget, the iterate is
+    returned iff ``res <= tol * max(1, scale)``, with ``scale`` the largest
+    residual of any round: the terms the loop cancels are that large, so
+    rounding leaves a residual relative to them.  Otherwise, and at once
+    when a residual is not finite, NormalFormError names the loop ``what``.
     """
-    rounds = trunc + 2
-    for _ in range(rounds):
+    rounds = max(trunc + 2, 0)
+    scale = 0.0
+    for k in range(rounds + 1):
         r = defect(x)
-        if max((d.norm() for d in r), default=0.0) <= STORE_TOL:
+        norms = [d.norm() for d in r]
+        if not all(map(math.isfinite, norms)):
+            raise NormalFormError(f"{what}: non-finite residual in round {k}")
+        res = max(norms, default=0.0)
+        if res <= STORE_TOL:
             return x
-        x = correct(x, r)
-    res = max((d.norm() for d in defect(x)), default=0.0)
-    if res > tol:
+        scale = max(scale, res)
+        if k < rounds:
+            x = correct(x, r)
+    if not res <= tol * max(1.0, scale):
         raise NormalFormError(
             f"{what} did not converge in {rounds} rounds (defect {res:.3e})"
         )

@@ -5,7 +5,10 @@ submanifold at the origin.
 
 All tensors are evaluated at the origin only; the intermediate objects
 (vector-field and form coefficients) are truncated series in the
-ambient coordinates (Z, Zbar).
+ambient coordinates (Z, Zbar).  E_j, F_j and psi_j are read from one
+pass over the CR words (``_tensors``): each word of length j is one CR
+field applied to a word of length j - 1, and its values at 0 span E_j
+and, paired with F_{j-1}, give psi_j.
 """
 
 from __future__ import annotations
@@ -137,36 +140,38 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def _tensors(M: GenericSubmanifold, kmax, frame: CRFrame, tol):
+    """One pass over the CR words of length <= kmax: (E_0..E_kmax, psi_1..psi_kmax).
+
+    Level j maps each word J of length j to the series L^J (d rho_l / dZ^m);
+    the word (k,) + w is L_k applied to the series of w, in the order of
+    operations of ``apply_word``.  E_j is spanned by the values at 0 of
+    levels 0..j (level 0 scaled by 2i); psi_j pairs the values of level j
+    with F_{j-1}.
+    """
+    if not 0 <= kmax < M.trunc:
+        raise ValueError(f"word length {kmax} outside 0..{M.trunc - 1} at truncation {M.trunc}")
+    n, d, N = M.n, M.d, M.N
+    level = {(): [[M.rho_z(l + 1, m + 1) for m in range(N)] for l in range(d)]}
+    vectors = [2j * _value0(rows) for rows in level[()]]
+    Es = [Subspace(N, orthonormal_basis(vectors, tol), tol)]
+    psis = []
+    for j in range(1, kmax + 1):
+        level = {
+            (k,) + w: [[apply_field_bar(frame.L[k - 1], f) for f in row] for row in rows]
+            for w, rows in level.items()
+            for k in range(1, n + 1)
+        }
+        values = {w: [_value0(row) for row in rows] for w, rows in level.items()}
+        psis.append(_psi(j, values, F_space(M, Es[-1], frame, tol), n, d))
+        vectors += [v for vals in values.values() for v in vals]
+        Es.append(Subspace(N, orthonormal_basis(vectors, tol), tol))
+    return Es, psis
+
+
 def E_spaces(M: GenericSubmanifold, kmax, frame: CRFrame | None = None, tol=DEFAULT_TOL):
     """Subspaces E_0 .. E_kmax spanned by the word-iterated form values at 0."""
-    if frame is None:
-        frame = cr_frame(M)
-    n, d, N = M.n, M.d, M.N
-    if kmax + 1 > M.trunc:
-        raise ValueError("truncation too small for kmax")
-    rho_z = [[M.rho_z(l + 1, m + 1) for m in range(N)] for l in range(d)]
-    vectors = []  # (word length, value vector)
-    for l in range(d):
-        vectors.append((0, 2j * _value0(rho_z[l])))
-    # iteratively apply single fields to keep series work shared per level
-    level = {(): [[rho_z[l][m] for m in range(N)] for l in range(d)]}
-    for j in range(1, kmax + 1):
-        nxt = {}
-        for w, mats in level.items():
-            for k in range(1, n + 1):
-                nmats = [
-                    [apply_field_bar(frame.L[k - 1], mats[l][m]) for m in range(N)]
-                    for l in range(d)
-                ]
-                nxt[w + (k,)] = nmats
-                for l in range(d):
-                    vectors.append((j, _value0(nmats[l])))
-        level = nxt
-    out = []
-    for j in range(kmax + 1):
-        vs = [v for (jl, v) in vectors if jl <= j]
-        out.append(Subspace(N, orthonormal_basis(vs, tol), tol))
-    return out
+    return _tensors(M, kmax, frame or cr_frame(M), tol)[0]
 
 
 def gradient_spans(M: GenericSubmanifold, kmax, frame: CRFrame | None = None, tol=DEFAULT_TOL):
@@ -223,24 +228,14 @@ def nondegeneracy(M: GenericSubmanifold, kmax, tol=DEFAULT_TOL):
     return None
 
 
-def vbar_basis(M: GenericSubmanifold, frame: CRFrame | None = None):
-    """Values at 0 of the conjugated frame fields (vectors over d/dZ)."""
-    if frame is None:
-        frame = cr_frame(M)
-    cols = []
-    for coeffs in frame.L:
-        cols.append(np.conj(_value0(coeffs)))
-    return np.column_stack(cols)  # N x n
+def vbar_basis(frame: CRFrame):
+    """Values at 0 of the conjugated frame fields (vectors over d/dZ), N x n."""
+    return np.column_stack([np.conj(_value0(coeffs)) for coeffs in frame.L])
 
 
-def F_space(M: GenericSubmanifold, k, frame: CRFrame | None = None, tol=DEFAULT_TOL) -> Subspace:
-    """F_k = (annihilator of E_k) intersected with the conjugate CR space."""
-    if frame is None:
-        frame = cr_frame(M)
-    E = E_spaces(M, k, frame, tol)[k]
-    V = vbar_basis(M, frame)
-    if E.dim == 0:
-        return Subspace(M.N, orthonormal_basis([V[:, j] for j in range(V.shape[1])], tol), tol)
+def F_space(M: GenericSubmanifold, E: Subspace, frame: CRFrame, tol=DEFAULT_TOL) -> Subspace:
+    """F_k = (annihilator of E = E_k) intersected with the conjugate CR space."""
+    V = vbar_basis(frame)
     # covector xi acts on vector v by xi . v (bilinear); E basis columns are
     # stored as vectors, so annihilation reads E^T v = 0
     A = E.basis.T @ V
@@ -290,22 +285,20 @@ def psi(M: GenericSubmanifold, j, frame: CRFrame | None = None, tol=DEFAULT_TOL)
     Indexing: (j frame indices, F_{j-1} basis index, defining-function
     index).
     """
-    if frame is None:
-        frame = cr_frame(M)
     if j < 1:
         raise ValueError("order must be >= 1")
-    if j + 1 > M.trunc:
-        raise ValueError("truncation too small for this order")
-    n, d, N = M.n, M.d, M.N
-    F = F_space(M, j - 1, frame, tol)
-    if F.dim == 0:
-        return TensorRep(j, np.zeros((n,) * j + (0, d), dtype=complex), F.basis, trivial=True)
+    return _tensors(M, j, frame or cr_frame(M), tol)[1][-1]
+
+
+def _psi(j, values, F: Subspace, n, d) -> TensorRep:
+    """psi_j from the values at 0 of the words of length j (see ``psi``)."""
     comp = np.zeros((n,) * j + (F.dim, d), dtype=complex)
+    if F.dim == 0:
+        return TensorRep(j, comp, F.basis, trivial=True)
     fac = 1.0 / math.factorial(j)
-    for w in _words(n, j):
+    for w, vals in values.items():
         idx = tuple(k - 1 for k in w)
-        for l in range(d):
-            xi = _value0([apply_word(frame, w, M.rho_z(l + 1, m + 1)) for m in range(N)])
+        for l, xi in enumerate(vals):
             for f in range(F.dim):
                 comp[idx + (f, l)] = fac * (xi @ F.basis[:, f])
     return TensorRep(j, comp, F.basis)
@@ -407,7 +400,7 @@ def cubic_form(M, frame=None, tol=DEFAULT_TOL) -> TensorRep:
     if frame is None:
         frame = cr_frame(Mg)
     n, N = Mg.n, Mg.N
-    F = F_space(Mg, 1, frame, tol)
+    F = F_space(Mg, E_spaces(Mg, 1, frame, tol)[1], frame, tol)
     if F.dim == 0:
         return TensorRep(2, np.zeros((n, n, 0, 1), dtype=complex), F.basis, trivial=True)
     zero2N = [MixedSeries.zero(N, Mg.trunc) for _ in range(2 * N)]
@@ -426,7 +419,7 @@ def cubic_form(M, frame=None, tol=DEFAULT_TOL) -> TensorRep:
             X[m] = coeffs[m].conj()
         Lconj.append(X)
     # F_1 vectors expressed in the conjugate frame: F.basis = Vbar @ cvec
-    V = vbar_basis(Mg, frame)
+    V = vbar_basis(frame)
     cvecs, *_ = np.linalg.lstsq(V, F.basis, rcond=None)
     rho_z0 = _value0([Mg.rho_z(1, m + 1) for m in range(N)])
     comp = np.zeros((n, n, F.dim, 1), dtype=complex)
@@ -453,14 +446,11 @@ def cubic_form(M, frame=None, tol=DEFAULT_TOL) -> TensorRep:
 def tensors_report(M, kmax=3, tol=DEFAULT_TOL):
     Mg = _as_generic(M)
     kmax = min(kmax, Mg.trunc - 1)
-    frame = cr_frame(Mg)
-    Es = E_spaces(Mg, kmax, frame, tol)
-    dims = [E.dim for E in Es]
+    Es, psis = _tensors(Mg, kmax, cr_frame(Mg), tol)
     k = next((j for j, E in enumerate(Es) if E.dim == Mg.N), None)
     out_psi = {}
-    for j in range(1, kmax + 1):
-        t = psi(Mg, j, frame, tol)
+    for j, t in enumerate(psis, 1):
         out_psi[str(j)] = t.to_json()
         if t.trivial:
             break
-    return {"k_nondeg": k, "dims_E": dims, "psi": out_psi}
+    return {"k_nondeg": k, "dims_E": [E.dim for E in Es], "psi": out_psi}

@@ -38,6 +38,10 @@ class TestParser:
         with pytest.raises(ParseError, match="out of range"):
             parse_expression(text, 8)
 
+    def test_large_power_by_squaring(self):
+        f = parse_expression("(1+z1)^99999999*zb1", 8)
+        assert f.coeff((1,), (1,), 0) == 99999999
+
     def test_line_numbers(self):
         with pytest.raises(ParseError) as e:
             parse_expression("z1*zb1 +\n  @", 8)
@@ -148,6 +152,30 @@ class TestCommands:
         monkeypatch.setattr(pnf, "cubic_coeffs", perturbed)
         assert main(["partial-nf", "z1*zb1 + zb2*z2^2 + z2*zb2^2"]) == 3
         assert "target form" in capsys.readouterr().err
+
+    def test_overflowing_power_exit_code(self, capsys):
+        assert main(["invariants", "2^99999999*z1*zb1"]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--kmax", "-1"], "--kmax"),
+            (["--tol", "nan"], "--tol"),
+            (["--tol", "inf"], "--tol"),
+            (["--tol", "0"], "--tol"),
+            (["--tol=-1e-9"], "--tol"),
+        ],
+    )
+    def test_bad_numeric_flag_exit_code(self, capsys, flags, name):
+        assert main(["invariants", "z1*zb1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
+
+    def test_bad_tol_exit_code_on_every_command(self, capsys):
+        assert main(["partial-nf", "z1*zb1", "--tol", "nan"]) == 2
+        assert main(["aut-bound", "2", "1", "--tol", "inf"]) == 2
+        assert capsys.readouterr().err.count("--tol") == 2
 
     def test_bad_degree_exit_code(self, capsys):
         assert main(["normal-form", "z1*zb1", "--degree", "12"]) == 2

@@ -6,6 +6,7 @@ from crnf.series import (
     DEFAULT_TOL,
     MixedSeries,
     NormalFormError,
+    _SMALL_MUL,
     complex_to_graph,
     fixed_point,
     graph_to_complex,
@@ -183,6 +184,62 @@ class TestFixedPoint:
                 DEFAULT_TOL,
                 "drift",
             )
+
+    @staticmethod
+    def stalling(residuals):
+        """A loop whose residual in round k is residuals[k] (the iterate is k)."""
+        return (
+            lambda k: [MixedSeries.constant(1, 4, residuals[k])],
+            lambda k, r: k + 1,
+        )
+
+    def test_residual_at_a_relative_rounding_floor_returns(self):
+        # peaks near 1e7, then stalls at about eps * 1e7, above tol itself
+        defect, correct = self.stalling([3e6, 1.2e7, 40.0, 1e-3] + [2.5e-9] * 3)
+        assert fixed_point(defect, correct, 0, 4, DEFAULT_TOL, "floor") == 6
+
+    def test_residual_stalled_above_the_relative_bound_raises(self):
+        defect, correct = self.stalling([3e6, 1.2e7, 40.0, 1e-3] + [0.5] * 3)
+        with pytest.raises(NormalFormError, match="stall did not converge in 6 rounds"):
+            fixed_point(defect, correct, 0, 4, DEFAULT_TOL, "stall")
+
+    def test_empty_budget_still_checks_the_residual(self):
+        defect, correct = self.stalling([0.5])
+        with pytest.raises(NormalFormError, match="short did not converge in 0 rounds"):
+            fixed_point(defect, correct, 0, -3, DEFAULT_TOL, "short")
+
+    def test_non_finite_residual_raises_at_once(self):
+        defect, correct = self.stalling([1.0, float("nan")] + [0.0] * 5)
+        with pytest.raises(NormalFormError, match="nan: non-finite residual in round 1"):
+            fixed_point(defect, correct, 0, 4, DEFAULT_TOL, "nan")
+
+
+class TestNonFinite:
+    def test_nan_is_stored_and_shows_in_the_norm(self):
+        a = MixedSeries.constant(1, 4, 1e200) * 1e200
+        assert np.isnan((a - a).norm())
+
+    def test_nan_survives_products_and_composition(self):
+        nan = MixedSeries.constant(2, 6, 1e200) * 1e200
+        nan = nan - nan
+        f = z(2, 6, 1) + nan * zb(2, 6, 2)
+        g = (1.0 + z(2, 6, 1) + z(2, 6, 2) + zb(2, 6, 1) + s(2, 6)) ** 3
+        # the dict product, then the array product (more pairs than _SMALL_MUL)
+        assert len(g.coeffs) * len(f.coeffs) <= _SMALL_MUL and np.isnan((g * f).norm())
+        assert len(g.coeffs) * len((g * f).coeffs) > _SMALL_MUL
+        assert np.isnan((g * (g * f)).norm())
+        assert np.isnan(f.subs(z=[z(2, 6, 1) + s(2, 6), None]).norm())
+
+
+class TestPower:
+    def test_power_by_squaring_matches_repeated_products(self):
+        x = MixedSeries.constant(2, 8, 1.0) + z(2, 8, 1) - 0.5 * zb(2, 8, 2)
+        rep = MixedSeries.constant(2, 8, 1.0)
+        for e in range(8):
+            assert ((x**e) - rep).norm() < 1e-12
+            rep = rep * x
+        with pytest.raises(ValueError):
+            x ** -1
 
 
 class TestSerialization:

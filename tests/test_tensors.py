@@ -1,13 +1,21 @@
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from crnf.hypersurfaces import GenericSubmanifold, flat, model_D, sphere
+from crnf.hypersurfaces import GenericSubmanifold, Hypersurface, flat, model_D, sphere
+from crnf.parser import parse_expression
 from crnf.series import MixedSeries
-from crnf.linalg import principal_angle_gap
+from crnf.linalg import orthonormal_basis, principal_angle_gap
 from crnf.tensors import (
     E_spaces,
+    F_space,
+    Subspace,
+    _value0,
+    _words,
+    apply_word,
     basis_change,
     cr_frame,
     cubic_form,
@@ -20,7 +28,7 @@ from crnf.tensors import (
     tensors_report,
     third_tensor,
 )
-from conftest import perturbed_model
+from conftest import perturbed_model, random_real_perturbation
 
 
 def test_frame_annihilates_defining_series():
@@ -136,3 +144,84 @@ def test_tensors_report_builds_the_frame_once(monkeypatch):
     rep = tensors_report(model_D(2, 6, (1.0,)), kmax=3)
     assert len(rep["psi"]) == 3
     assert len(calls) == 1
+
+
+def linear_change(M, A):
+    """The hypersurface M moved by z -> A z."""
+    n, T = M.n, M.phi.trunc
+    z = [MixedSeries.variable(n, T, "z", k + 1) for k in range(n)]
+    zs = [sum((complex(A[i, k]) * z[k] for k in range(n)), MixedSeries.zero(n, T)) for i in range(n)]
+    return Hypersurface(M.phi.subs(z=zs, zb=[f.conj() for f in zs]))
+
+
+def word_by_word_psi(M, j, frame):
+    """psi_j with every word applied from scratch by apply_word.  E_{j-1}
+    is spanned by the same values, listed in the order of the word tree
+    (level by level, each word after the words it extends)."""
+    n, d, N = M.n, M.d, M.N
+
+    def values(w):
+        return [
+            _value0([apply_word(frame, w, M.rho_z(l + 1, m + 1)) for m in range(N)])
+            for l in range(d)
+        ]
+
+    vectors = [2j * v for v in values(())]
+    for jl in range(1, j):
+        for w in _words(n, jl):
+            vectors += values(w[::-1])
+    F = F_space(M, Subspace(N, orthonormal_basis(vectors)), frame)
+    comp = np.zeros((n,) * j + (F.dim, d), dtype=complex)
+    fac = 1.0 / math.factorial(j)
+    for w in _words(n, j):
+        for l, xi in enumerate(values(w)):
+            for f in range(F.dim):
+                comp[tuple(k - 1 for k in w) + (f, l)] = fac * (xi @ F.basis[:, f])
+    return comp
+
+
+def test_psi_matches_word_by_word_oracle():
+    rng = np.random.default_rng(7)
+    phi = parse_expression("z1*zb1 + zb2*z2^3 + z2*zb2^3", 6)
+    M = Hypersurface(phi + random_real_perturbation(2, 6, rng, amp=0.03, min_deg=5))
+    A = np.array([[1.0, 0.3 - 0.2j], [0.1j, 0.8]])
+    Mg = linear_change(M, A).to_generic()
+    frame = cr_frame(Mg)
+    for j in (1, 2, 3):
+        t = psi(Mg, j, frame)
+        assert t.components.size  # psi_3 is nontrivial on this input
+        assert np.array_equal(t.components, word_by_word_psi(Mg, j, frame))
+
+
+@pytest.mark.parametrize(
+    "M, calls", [(model_D(2, 6, (1.0,)), 42), (model_D(3, 6, (1.0, 0.5)), 156)]
+)
+def test_tensors_report_applies_each_field_once_per_word(monkeypatch, M, calls):
+    module = sys.modules["crnf.tensors"]
+    orig = module.apply_field_bar
+    count = []
+
+    def counted(*args):
+        count.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(module, "apply_field_bar", counted)
+    tensors_report(M, kmax=3)
+    # one field per word of length 1..3, for each of the N components of d rho
+    assert len(count) == calls
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+)
+def test_E_dims_and_nondegeneracy_invariant_under_linear_change(lam, seed, entries):
+    e = np.array(entries)
+    A = np.eye(2) + 0.5 * (e[:4] + 1j * e[4:]).reshape(2, 2)
+    assume(np.linalg.cond(A) < 10.0)
+    M = perturbed_model(2, 6, (lam,), seed=seed, amp=0.03)
+    before, after = tensors_report(M), tensors_report(linear_change(M, A))
+    assert after["dims_E"] == before["dims_E"]
+    assert after["k_nondeg"] == before["k_nondeg"]

@@ -68,6 +68,19 @@ def parse_input(arg, trunc, tol=1e-9):
         raise InputError(str(e)) from e
 
 
+# lowest truncation of a command's input, from --trunc or the series JSON:
+# the weighted degrees its computation reads
+MIN_TRUNC = {"invariants": 2, "partial-nf": 3, "normal-form": 4, "equiv": 4}
+
+
+def _load_input(arg, args):
+    M = parse_input(arg, args.trunc, args.tol)
+    low = MIN_TRUNC[args.command]
+    if M.trunc < low:
+        raise InputError(f"{args.command} needs a truncation >= {low}, got {M.trunc}")
+    return M
+
+
 def _emit(payload, text_fn, as_json):
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -86,7 +99,7 @@ def _load_normalization(path, n):
 
 
 def _cmd_invariants(args):
-    M = parse_input(args.input, args.trunc, args.tol)
+    M = _load_input(args.input, args)
     rep = tensors_report(M, kmax=args.kmax, tol=args.tol)
 
     def text(rep):
@@ -101,7 +114,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_partial_nf(args):
-    M = parse_input(args.input, args.trunc, args.tol)
+    M = _load_input(args.input, args)
     res = partial_nf(M, args.tol)
 
     def text(d):
@@ -116,7 +129,7 @@ def _cmd_partial_nf(args):
 
 
 def _cmd_normal_form(args):
-    given = parse_input(args.input, args.trunc, args.tol)
+    given = _load_input(args.input, args)
     M = to_model_form(given, args.tol)
     P = _load_normalization(args.normalization, M.n)
     degree = args.degree if args.degree is not None else args.trunc
@@ -139,8 +152,8 @@ def _cmd_normal_form(args):
 
 
 def _cmd_equiv(args):
-    M = parse_input(args.input, args.trunc, args.tol)
-    M2 = parse_input(args.input2, args.trunc, args.tol)
+    M = _load_input(args.input, args)
+    M2 = _load_input(args.input2, args)
     P = _load_normalization(args.normalization, M.n) if args.normalization else None
     P2 = _load_normalization(args.normalization2, M2.n) if args.normalization2 else None
     degree = args.degree if args.degree is not None else args.trunc

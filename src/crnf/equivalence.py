@@ -8,13 +8,15 @@ normalizations does not prove inequivalence (searching the continuous
 normalization group is out of scope; see `equivalent_to_degree`).
 
 `random_allowed_map` draws deterministic pseudorandom transformations from
-the group preserving the third-order model (stabilizer linear part, the
-finite-dimensional normalization parameters, and a higher-order gauge
+the group preserving the third-order model (the finite-dimensional
+normalization parameters, with (c, A) exponentiated from the Lie algebra
+of the group conditions at any Levi signature, and a higher-order gauge
 part), for use in invariance testing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +26,13 @@ from .series import DEFAULT_TOL, MixedSeries
 from .fischer import mons
 from .hypersurfaces import Hypersurface
 from .maps import FormalMap
-from .normal_space import eps_signs
 from .partial_nf import partial_nf
 from .full_nf import (
     NormalizationP,
     check_G0,
     factor_map,
     normal_form,
+    normalization_algebra,
     to_model_form,
     validate_P,
 )
@@ -150,9 +152,11 @@ def equivalent_to_degree(
         P = NormalizationP.identity(M.n)
     if P2 is None:
         P2 = NormalizationP.identity(M2.n)
-    N1 = normal_form(A, P, degree, tol).N
-    N2 = normal_form(B, P2, degree, tol).N
-    dev = (N1 - N2).norm()
+    N1 = normal_form(A, P, degree, tol).N.coeffs
+    N2 = normal_form(B, P2, degree, tol).N.coeffs
+    # from the raw coefficients: a series difference drops those <= STORE_TOL
+    keys = N1.keys() | N2.keys()
+    dev = float(np.max([abs(N1.get(k, 0) - N2.get(k, 0)) for k in keys], initial=0.0))
     match = dev <= max(tol, 1e-7)
     note = (
         "normal forms agree at the given normalizations"
@@ -182,10 +186,10 @@ def matched_normalization(
     The total normalizing map of M is T o P; composing with Phi^{-1} and
     re-factoring through the gauge splitting yields the induced P2."""
     res = normal_form(M, P, degree=4, tol=tol)
-    total = res.T.compose(P.to_map(M.trunc)) if not P.is_identity() else res.T
+    total = res.T.compose(P.to_map(M.trunc, res.r)) if not P.is_identity() else res.T
     # only the low-order jet of the total map matters for the factorization
     comp = total.compose(Phi.inverse(tol))
-    _, P2 = factor_map(comp, tol)
+    _, P2 = factor_map(comp, res.r, tol)
     return P2
 
 
@@ -194,51 +198,13 @@ def matched_normalization(
 
 
 def _random_stabilizer(r, R, rng, scale):
-    """(c, A) with c real > 0, A* I_{r,s} A = c I_{r,s} and
-    A^t R A = |c|^(2/3) R, drawn near the identity for small scale."""
-    R = np.asarray(R, dtype=complex)
-    m = R.shape[0]
-    n = m + 1
-    eps = np.array(eps_signs(n, r))
-    lam = np.real(np.diag(R))
-    offdiag = np.max(np.abs(R - np.diag(lam)), initial=0.0)
-    if offdiag > 1e-12 or np.min(eps) < 0:
-        # general case: only guaranteed elements are +/-1 diagonal signs
-        # compatible with both forms (conservative sampler)
-        signs = np.where(rng.random(m) < 0.5, 1.0, -1.0) if scale > 0 else np.ones(m)
-        return 1.0, np.diag(signs).astype(complex)
-    if np.max(np.abs(lam)) <= 1e-12:
-        # R = 0: A = sqrt(c) U with U unitary, any c > 0
-        c = float(np.exp(scale * rng.normal())) if scale > 0 else 1.0
-        K = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        K = 0.5 * (K - K.conj().T)
-        U = scipy.linalg.expm(scale * K)
-        return c, np.sqrt(c) * U
-    # definite Levi form, R = diag(lam): c = 1; A block-diagonal over
-    # groups of equal lam, real orthogonal on nonzero groups, unitary on
-    # the zero group
-    A = np.zeros((m, m), dtype=complex)
-    idx = np.argsort(-lam)
-    groups = []
-    for i in idx:
-        if groups and abs(lam[groups[-1][0]] - lam[i]) <= 1e-9:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    for grp in groups:
-        k = len(grp)
-        if abs(lam[grp[0]]) > 1e-9:
-            K = rng.normal(size=(k, k))
-            K = 0.5 * (K - K.T)
-            blk = scipy.linalg.expm(scale * K).astype(complex)
-        else:
-            K = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            K = 0.5 * (K - K.conj().T)
-            blk = scipy.linalg.expm(scale * K)
-        for a, ia in enumerate(grp):
-            for b, ib in enumerate(grp):
-                A[ia, ib] = blk[a, b]
-    return 1.0, A
+    """(c, A) = (e^tau, expm(X)) for a Gaussian element (X, tau) of the
+    normalization algebra of scale ``scale``: a draw from the identity
+    component of the group of validate_P, near the identity for small
+    scale."""
+    Xs, taus = normalization_algebra(r, R)
+    a = scale * rng.normal(size=len(taus))
+    return math.exp(a @ taus), scipy.linalg.expm(np.tensordot(a, Xs, 1))
 
 
 def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL):
@@ -309,4 +275,4 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
         )
     T = FormalMap(fs, g)
     assert check_G0(T, tol)
-    return T.compose(P.to_map(trunc)), P
+    return T.compose(P.to_map(trunc, r)), P

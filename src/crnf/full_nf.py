@@ -42,6 +42,7 @@ from .hypersurfaces import (
     hermitian_quadric,
     p_R_poly,
 )
+from .linalg import nullspace
 from .maps import FormalMap, apply_map
 from .partial_nf import levi_matrix_of, partial_nf
 from .normal_space import (
@@ -60,6 +61,7 @@ __all__ = [
     "is_in_normal_space",
     "project_normal",
     "validate_P",
+    "normalization_algebra",
     "check_G0",
     "solve_L",
     "normal_form",
@@ -82,11 +84,13 @@ def _real_cbrt(c):
 class NormalizationP:
     """Parameters of the residual polynomial map
 
-        z' -> A z' + w B + (2i/c)(B* A z') A z' + q'(z, w)
+        z' -> A z' + w B + (2i/c) <Az', B>_{r,s} A z' + q'(z, w)
         z^n -> c^(1/3) z^n + sum_{|I|=2} d_I z^I
-        w  -> c w + 2i (B* A z') w
+        w  -> c w + 2i <Az', B>_{r,s} w
 
-    with q'^beta = sum_{|J|=3} a3[beta,J] z^J
+    with <Az', B>_{r,s} = sum_b eps_b conj(B_b) (Az')^b, eps the signs of
+    the Levi form (eps_signs), and
+         q'^beta = sum_{|J|=3} a3[beta,J] z^J
                    + (sum_{alpha<beta} bl[beta,alpha] (Az')^alpha
                       + cdiag[beta] (Az')^beta) w.
 
@@ -128,8 +132,10 @@ class NormalizationP:
             and np.linalg.norm(self.d2) <= tol
         )
 
-    def to_map(self, trunc) -> FormalMap:
+    def to_map(self, trunc, r) -> FormalMap:
+        """The map of these parameters at Levi signature r (r + s = n - 1)."""
         n = self.n
+        eps = eps_signs(n, r)
         zero = (0,) * n
         zs = [MixedSeries.variable(n, trunc, "z", j + 1) for j in range(n)]
         w = MixedSeries.variable(n, trunc, "s")
@@ -143,7 +149,7 @@ class NormalizationP:
         sigma = MixedSeries.zero(n, trunc)
         for b in range(n - 1):
             if abs(self.B[b]) > STORE_TOL:
-                sigma = sigma + np.conj(self.B[b]) * Az[b]
+                sigma = sigma + (eps[b] * np.conj(self.B[b])) * Az[b]
         fs = []
         for b in range(n - 1):
             f = Az[b] + self.B[b] * w + (2j / self.c) * (sigma * Az[b])
@@ -220,6 +226,35 @@ def validate_P(P: NormalizationP, r, R, tol=DEFAULT_TOL):
     ) * scale:
         return False
     return True
+
+
+def normalization_algebra(r, R, tol=DEFAULT_TOL):
+    """Real basis of the Lie algebra of the group conditions of validate_P:
+    the pairs (X, tau), X complex (n-1) x (n-1) and tau real, with
+
+        X* I_{r,s} + I_{r,s} X = tau I_{r,s},   X^t R + R X = (2 tau/3) R.
+
+    Returns (Xs, taus), the basis elements stacked along the first axis.
+    For every real combination (X, tau), c = e^tau and A = expm(X) satisfy
+    the group conditions: A / e^(tau/2) is in U(r, s) and A / e^(tau/3)
+    preserves R."""
+    R = np.asarray(R, dtype=complex)
+    m = R.shape[0]
+    Irs = np.diag(eps_signs(m + 1, r))
+
+    def conditions(v):
+        X, tau = (v[: m * m] + 1j * v[m * m : -1]).reshape(m, m), v[-1]
+        E = np.stack(
+            [
+                X.conj().T @ Irs + Irs @ X - tau * Irs,
+                X.T @ R + R @ X - (2.0 * tau / 3.0) * R,
+            ]
+        )
+        return np.concatenate([E.real.ravel(), E.imag.ravel()])
+
+    unit = np.eye(2 * m * m + 1)
+    K = nullspace(np.column_stack([conditions(e) for e in unit]), tol)
+    return (K[: m * m] + 1j * K[m * m : -1]).T.reshape(-1, m, m), K[-1]
 
 
 def check_G0(T: FormalMap, tol=DEFAULT_TOL):
@@ -611,7 +646,7 @@ def normal_form(M: Hypersurface, P: NormalizationP = None, degree=None,
     cur = M
     T_total = None
     if not P.is_identity(tol):
-        cur = apply_map(cur, P.to_map(trunc), tol)
+        cur = apply_map(cur, P.to_map(trunc, r), tol)
         # form preservation (the content of the group conditions)
         r2, R2 = detect_model(cur, max(tol, 1e3 * tol))
         if r2 != r or np.linalg.norm(R2 - R) > 1e3 * tol * (1 + np.linalg.norm(R)):
@@ -663,9 +698,10 @@ def normal_form(M: Hypersurface, P: NormalizationP = None, degree=None,
 # factorization of a form-preserving map into T o P
 
 
-def factor_map(Phi: FormalMap, tol=DEFAULT_TOL):
-    """Factor a form-preserving formal map uniquely as Phi = T o P with P
-    a NormalizationP map and T in the gauge class; returns (T, P)."""
+def factor_map(Phi: FormalMap, r, tol=DEFAULT_TOL):
+    """Factor a map that preserves the model form of Levi signature r
+    uniquely as Phi = T o P with P a NormalizationP map and T in the gauge
+    class; returns (T, P)."""
     n = Phi.n
     Afull, c = Phi.jacobian0()
     if abs(c.imag) > tol * max(1.0, abs(c)):
@@ -697,6 +733,6 @@ def factor_map(Phi: FormalMap, tol=DEFAULT_TOL):
             bl[b, a] = t[a]
         cdiag[b] = t[b].real
     P = NormalizationP(n=n, c=c, A=A, B=B, a3=a3, bl=bl, cdiag=cdiag, d2=d2)
-    Pmap = P.to_map(Phi.trunc)
+    Pmap = P.to_map(Phi.trunc, r)
     T = Phi.compose(Pmap.inverse(tol))
     return T, P

@@ -116,10 +116,11 @@ def rank_tol(A, tol=DEFAULT_TOL):
 
 
 def nullspace(A, tol=DEFAULT_TOL):
-    """Orthonormal basis (columns) of the kernel of A."""
-    A = np.asarray(A, dtype=complex)
+    """Orthonormal basis (columns) of the kernel of A; real if A is real."""
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A, float))
     if A.size == 0:
-        return np.eye(A.shape[1], dtype=complex)
+        return np.eye(A.shape[1], dtype=A.dtype)
     _, sv, Vh = np.linalg.svd(A)
     r = int(np.sum(sv > tol * (sv[0] + 1)))
     return Vh[r:].conj().T

@@ -127,7 +127,8 @@ class FormalMap:
             ]
 
         # weighted-linear part L: z -> Az, w -> c w + z^T Q z; seed with L^{-1}
-        Qt = Ainv.T @ self.weight2_zform() @ Ainv
+        Q = self.weight2_zform()
+        Qt = Ainv.T @ Q @ Ainv
         qterm = zero
         for i in range(n):
             for j in range(n):
@@ -139,9 +140,14 @@ class FormalMap:
             TS = self.compose(S)
             return [z - f for z, f in zip(zs, TS.fs)] + [w - TS.g]
 
+        # Newton step of L at S: A df = r_f, c dg + 2 S_f^T Q df = r_g
         def correct(S, r):
-            fs = [f + cz for f, cz in zip(S.fs, times_Ainv(r[:n]))]
-            return FormalMap(fs, S.g + r[n] * (1.0 / c), check=False)
+            df = times_Ainv(r[:n])
+            rg = r[n]
+            for i, j in zip(*np.nonzero(np.abs(Q) > STORE_TOL)):
+                rg = rg - (2.0 * Q[i, j]) * (S.fs[i] * df[j])
+            fs = [f + d for f, d in zip(S.fs, df)]
+            return FormalMap(fs, S.g + rg * (1.0 / c), check=False)
 
         return fixed_point(defect, correct, S, T, tol, "FormalMap.inverse")
 

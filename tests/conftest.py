@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crnf.series import MixedSeries
-from crnf.hypersurfaces import Hypersurface, model_D
+from crnf.hypersurfaces import Hypersurface, model_hypersurface
 
 
 def random_real_perturbation(n, trunc, rng, nterms=25, amp=0.05, min_deg=4):
@@ -19,9 +19,11 @@ def random_real_perturbation(n, trunc, rng, nterms=25, amp=0.05, min_deg=4):
     return pert.realified()
 
 
-def perturbed_model(n, trunc, lam, seed, amp=0.05):
+def perturbed_model(n, trunc, lam, seed, amp=0.05, s=0):
+    """Model with R = diag(lam) and Levi signature (n - 1 - s, s), plus a
+    random real perturbation of weighted degree >= 4."""
     rng = np.random.default_rng(seed)
-    M0 = model_D(n, trunc, lam)
+    M0 = model_hypersurface(n, trunc, np.diag(np.asarray(lam, dtype=float)), s)
     return Hypersurface(M0.phi + random_real_perturbation(n, trunc, rng, amp=amp))
 
 

@@ -177,6 +177,24 @@ class TestCommands:
         assert main(["aut-bound", "2", "1", "--tol", "inf"]) == 2
         assert capsys.readouterr().err.count("--tol") == 2
 
+    @pytest.mark.parametrize(
+        "argv, low",
+        [
+            (["invariants", "z1*zb1", "--trunc", "1", "--json"], 2),
+            (["partial-nf", "z1*zb1 + zb2*z2^2 + z2*zb2^2", "--trunc", "2"], 3),
+            (["equiv", "z1*zb1", "z1*zb1", "--trunc", "3"], 4),
+        ],
+    )
+    def test_truncation_below_minimum_exit_code(self, capsys, argv, low):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"truncation >= {low}" in captured.err
+
+    def test_truncation_of_series_json_is_checked(self, capsys):
+        series = json.dumps(model_D(2, 3, (1.0,)).phi.to_json_dict())
+        assert main(["normal-form", series, "--degree", "4"]) == 2
+        assert "truncation >= 4, got 3" in capsys.readouterr().err
+
     def test_bad_degree_exit_code(self, capsys):
         assert main(["normal-form", "z1*zb1", "--degree", "12"]) == 2
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from crnf.series import MixedSeries
-from crnf.hypersurfaces import Hypersurface, model_D, sphere
+from crnf.hypersurfaces import Hypersurface, model_D, model_hypersurface, sphere
 from crnf.maps import apply_map, FormalMap
-from crnf.full_nf import NormalizationP, normal_form, validate_P, check_G0
+from crnf.full_nf import NormalizationP, detect_model, normal_form, validate_P, check_G0
 from crnf.equivalence import (
     equivalent_to_degree,
     invariants_signature,
@@ -73,6 +73,24 @@ class TestRandomAllowedMap:
         r, R = detect_model(apply_map(M, Phi), 1e-7)
         assert r == 2 and np.max(np.abs(R - np.diag(lam))) < 1e-7
 
+    def test_non_diagonal_R(self):
+        R = np.array([[1.0, 0.3], [0.3, 0.5]])
+        M = model_hypersurface(3, 4, R)
+        for seed in range(20):
+            Phi, P = random_allowed_map(2, R, seed=seed, scale=0.1, trunc=4)
+            assert validate_P(P, 2, R)
+            r, R2 = detect_model(apply_map(M, Phi), 1e-7)
+            assert r == 2 and np.max(np.abs(R2 - R)) < 1e-7
+
+    @pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (4, 2)])
+    def test_map_preserves_model_form_at_indefinite_signature(self, n, r):
+        lam = (1.0, 0.5, 0.25)[: n - 1]
+        M = model_hypersurface(n, 4, np.diag(lam), s=n - 1 - r)
+        for seed in range(3):
+            Phi, _ = random_allowed_map(r, np.diag(lam), seed=seed, scale=0.1, trunc=4)
+            r2, R = detect_model(apply_map(M, Phi), 1e-7)
+            assert r2 == r and np.max(np.abs(R - np.diag(lam))) < 1e-7
+
 
 class TestEquivalence:
     def test_invariance_under_allowed_maps(self):
@@ -87,6 +105,31 @@ class TestEquivalence:
             assert rep.invariants_match
             assert rep.normal_forms_match
             assert rep.max_deviation < 1e-6
+
+    @pytest.mark.parametrize("n, r, trunc", [(3, 1, 6), (4, 2, 5)])
+    def test_invariance_at_indefinite_signature(self, n, r, trunc):
+        lam = (1.0, 0.5, 0.25)[: n - 1]
+        M = perturbed_model(n, trunc, lam, seed=80 + n, amp=0.03, s=n - 1 - r)
+        Phi, _ = random_allowed_map(r, np.diag(lam), seed=0, scale=0.05, trunc=trunc)
+        Mp = apply_map(M, Phi)
+        P2 = matched_normalization(M, NormalizationP.identity(n), Phi)
+        rep = equivalent_to_degree(M, Mp, None, P2, degree=trunc)
+        assert rep.invariants_match
+        assert rep.normal_forms_match
+        assert rep.max_deviation < 1e-6
+
+    def test_max_deviation_reads_differences_below_store_tol(self):
+        n, trunc = 2, 6
+        res = normal_form(perturbed_model(n, trunc, (1.0,), seed=8), degree=trunc)
+        # shift the largest remainder coefficient (and its conjugate) by 5e-14
+        key = max(res.N.coeffs, key=lambda k: abs(res.N.coeffs[k]))
+        coeffs = dict(res.M_out.phi.coeffs)
+        for k in {key, key[n : 2 * n] + key[:n] + key[2 * n :]}:
+            coeffs[k] += 5e-14
+        M2 = Hypersurface(MixedSeries(n, trunc, coeffs))
+        rep = equivalent_to_degree(res.M_out, M2, degree=trunc)
+        assert rep.normal_forms_match
+        assert 1e-14 < rep.max_deviation < 1e-12
 
     def test_extra_normal_term_detected(self):
         n, trunc = 2, 8

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from crnf.series import MixedSeries
 from crnf.fischer import type_basis
-from crnf.hypersurfaces import Hypersurface, model_D, sphere
+from crnf.hypersurfaces import Hypersurface, model_D, model_hypersurface, sphere
 from crnf.maps import FormalMap, apply_map
 from crnf.normal_space import (
     is_in_normal_space,
@@ -20,10 +20,30 @@ from crnf.full_nf import (
     factor_map,
     model_phi,
     normal_form,
+    normalization_algebra,
     solve_L,
     validate_P,
 )
+from crnf.partial_nf import aut_dim_bound
 from conftest import perturbed_model, random_real_perturbation
+
+# (n, lambda) of the frozen dimension table of acceptance criterion 6
+ORACLE_CASES = [
+    (2, (0.0,)),
+    (2, (1.0,)),
+    (3, (0.0, 0.0)),
+    (3, (1.0, 0.0)),
+    (3, (1.0, 0.5)),
+    (3, (1.0, 1.0)),
+    (4, (0.0, 0.0, 0.0)),
+    (4, (1.0, 0.5, 0.25)),
+    (4, (1.0, 1.0, 1.0)),
+    (4, (1.0, 1.0, 0.0)),
+    (4, (1.0, 0.0, 0.0)),
+    (4, (1.0, 1.0, 0.5)),
+]
+_u = np.random.default_rng(31).uniform(0.05, 0.95, size=(5, 2))
+RANDOM_CASES = [(3, (1.0, u[0])) for u in _u[:2]] + [(4, (1.0, *u)) for u in _u[2:]]
 
 
 class TestValidateP:
@@ -59,6 +79,27 @@ class TestValidateP:
         P.d2 = P.d2 + 0.25
         Q = NormalizationP.from_json_dict(P.to_json_dict())
         assert Q.n == P.n and np.allclose(Q.B, P.B) and np.allclose(Q.d2, P.d2)
+
+
+class TestNormalizationAlgebra:
+    @pytest.mark.parametrize("n, lam", ORACLE_CASES + RANDOM_CASES)
+    def test_dimension_plus_free_parameters_is_aut_dim_bound(self, n, lam):
+        Xs, taus = normalization_algebra(n - 1, np.diag(lam))
+        P = NormalizationP.identity(n)
+        # real dimensions of B, a3, d2 (complex), bl (strict lower), cdiag (real)
+        free = 2 * (P.B.size + P.a3.size + P.d2.size) + (n - 1) * (n - 2) + n - 1
+        assert len(taus) + free == aut_dim_bound(n, lam)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_exponentials_satisfy_the_group_conditions(self, r, rng):
+        R = np.array([[1.0, 0.3], [0.3, 0.5]]) if r == 2 else np.diag([1.0, 0.0])
+        Xs, taus = normalization_algebra(r, R)
+        for _ in range(5):
+            a = rng.normal(size=len(taus))
+            P = NormalizationP.identity(3)
+            P.c = float(np.exp(a @ taus))
+            P.A = scipy.linalg.expm(np.tensordot(a, Xs, 1))
+            assert validate_P(P, r, R)
 
 
 class TestCheckG0:
@@ -272,6 +313,26 @@ class TestNormalForm:
         )
 
 
+class TestNormalizationMap:
+    @pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (4, 2)])
+    def test_B_term_keeps_model_form_at_every_signature(self, n, r):
+        # <Az', B>_{r,s} carries the signs of the Levi form
+        R = np.diag([1.0, 0.5, 0.25][: n - 1])
+        P = NormalizationP.identity(n)
+        P.B = np.array([0.05, 0.03j, -0.02][: n - 1])
+        assert validate_P(P, r, R)
+        M = model_hypersurface(n, 4, R, s=n - 1 - r)
+        r2, R2 = detect_model(apply_map(M, P.to_map(4, r)), 1e-9)
+        assert r2 == r and np.max(np.abs(R2 - R)) < 1e-9
+
+    def test_B_only_normalization_at_indefinite_signature(self):
+        P = NormalizationP.identity(3)
+        P.B = np.array([0.05, 0.03j])
+        res = normal_form(model_hypersurface(3, 6, np.diag([1.0, 0.5]), s=1), P)
+        assert (res.r, res.R.shape) == (1, (2, 2))
+        assert is_in_normal_space(res.N, 1, res.R)
+
+
 class TestFactorMap:
     def test_round_trip(self):
         n, trunc = 2, 8
@@ -288,8 +349,8 @@ class TestFactorMap:
             I.g + MixedSeries.monomial(n, trunc, (4, 0), (0, 0), 0, 0.02),
         )
         assert check_G0(Tg)
-        Phi = Tg.compose(P.to_map(trunc))
-        T2, P2 = factor_map(Phi)
+        Phi = Tg.compose(P.to_map(trunc, n - 1))
+        T2, P2 = factor_map(Phi, n - 1)
         assert check_G0(T2)
         assert abs(P2.c - P.c) < 1e-10
         assert np.max(np.abs(P2.A - P.A)) < 1e-10
@@ -297,5 +358,5 @@ class TestFactorMap:
         assert np.max(np.abs(P2.a3 - P.a3)) < 1e-10
         assert np.max(np.abs(P2.cdiag - P.cdiag)) < 1e-10
         assert np.max(np.abs(P2.d2 - P.d2)) < 1e-10
-        recomposed = T2.compose(P2.to_map(trunc))
+        recomposed = T2.compose(P2.to_map(trunc, n - 1))
         assert recomposed.distance(Phi) < 1e-9

@@ -27,6 +27,40 @@ def test_inverse_round_trip(rng):
     assert S.compose(Tm).distance(FormalMap.identity(n, T)) < 1e-10
 
 
+@pytest.mark.parametrize("trunc", [6, 10])
+def test_inverse_with_w_in_f_and_z_squared_in_g(trunc):
+    # (z1 + 0.3 w, z2; w + 0.3 z1^2): an f correction feeds g one degree up
+    n = 2
+    I = FormalMap.identity(n, trunc)
+    z1 = I.fs[0]
+    Tm = FormalMap([z1 + 0.3 * I.g, I.fs[1]], I.g + 0.3 * (z1 * z1))
+    S = Tm.inverse()
+    assert Tm.compose(S).distance(I) < 1e-12
+    assert S.compose(Tm).distance(I) < 1e-12
+
+
+def test_inverse_of_random_coupled_maps():
+    n, trunc = 2, 6
+    I = FormalMap.identity(n, trunc)
+    rng = np.random.default_rng(5)
+
+    def cn(size=None):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    for _ in range(30):
+        A = np.eye(n) + 0.3 * cn((n, n))
+        fs = [
+            sum((A[i, j] * I.fs[j] for j in range(n)), 0.3 * cn() * I.g)
+            + 0.3 * cn() * (I.fs[0] * I.fs[1])
+            for i in range(n)
+        ]
+        g = (1 + 0.3 * cn()) * I.g
+        for a in [(2, 0), (1, 1), (0, 2), (1, 0)]:
+            g = g + MixedSeries.monomial(n, trunc, a, (0, 0), sum(a) == 1, 0.3 * cn())
+        Tm = FormalMap(fs, g)
+        assert Tm.compose(Tm.inverse()).distance(I) < 1e-9
+
+
 def test_noninvertible_rejected():
     n, T = 2, 6
     I = FormalMap.identity(n, T)

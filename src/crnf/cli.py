@@ -81,6 +81,19 @@ def _load_input(arg, args):
     return M
 
 
+def _degree(args, trunc):
+    """--degree checked against the truncation of the input(s); by default
+    that truncation."""
+    if args.degree is None:
+        return trunc
+    if not 4 <= args.degree <= trunc:
+        raise InputError(
+            f"--degree must be in [4, {trunc}], the truncation of the input, "
+            f"got {args.degree}"
+        )
+    return args.degree
+
+
 def _emit(payload, text_fn, as_json):
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -130,9 +143,9 @@ def _cmd_partial_nf(args):
 
 def _cmd_normal_form(args):
     given = _load_input(args.input, args)
+    degree = _degree(args, given.trunc)
     M = to_model_form(given, args.tol)
     P = _load_normalization(args.normalization, M.n)
-    degree = args.degree if args.degree is not None else args.trunc
     res = normal_form(M, P, degree, args.tol)
     payload = res.to_json_dict()
     if M is not given:
@@ -154,9 +167,9 @@ def _cmd_normal_form(args):
 def _cmd_equiv(args):
     M = _load_input(args.input, args)
     M2 = _load_input(args.input2, args)
+    degree = _degree(args, min(M.trunc, M2.trunc))
     P = _load_normalization(args.normalization, M.n) if args.normalization else None
     P2 = _load_normalization(args.normalization2, M2.n) if args.normalization2 else None
-    degree = args.degree if args.degree is not None else args.trunc
     rep = equivalent_to_degree(M, M2, P, P2, degree, args.tol)
 
     def text(d):
@@ -287,9 +300,6 @@ def main(argv=None):
             raise InputError(f"--tol must be finite and > 0, got {args.tol}")
         if getattr(args, "kmax", 0) < 0:
             raise InputError(f"--kmax must be >= 0, got {args.kmax}")
-        if hasattr(args, "degree") and args.degree is not None:
-            if args.degree < 4 or args.degree > args.trunc:
-                raise InputError("need trunc >= degree >= 4")
         return args.fn(args)
     except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

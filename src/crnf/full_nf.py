@@ -19,8 +19,13 @@ degreewise as a real linear system over monomial coefficients: one
 column per map unknown under the gauge constraints, built from series
 products, then the remainder-space coordinates, filled slice by slice
 from the coefficient blocks of normal_space.remainder_blocks.  The
-system is square and invertible, and the smallest-singular-value margin
-is reported per degree.  N is read back from the solved system: its
+system is assembled as a sparse matrix straight from its nonzeros (no
+dense matrix is formed) and factored once by sparse LU (SuperLU, through
+scipy.sparse.linalg.splu).  It is square and invertible: its extreme
+singular values come from Lanczos iterations (ARPACK svds) on the matrix
+and, through the factor, on its inverse; the margin sigma_min/sigma_max
+gates the factor and is reported per degree, and the tests check both
+values against a dense SVD.  N is read back from the solved system: its
 monomial coefficients are the remainder columns times their solved
 coordinates.  Lower-degree coupling is handled by
 re-applying the actual polynomial map after each degree, which is
@@ -33,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, NormalFormError
 from .fischer import mons
@@ -353,10 +357,61 @@ def _unknown_monomials(n, nu):
     return out
 
 
+def _factor(A, nu):
+    """Sparse LU factor of the square CSC matrix A of the degree-nu system
+    and the extreme singular values of A: returns (lu, sigma_min,
+    sigma_max).
+
+    sigma_max is the largest singular value of A and sigma_min the
+    reciprocal of that of A^-1, applied through the factor; both come from
+    ARPACK (svds) with one fixed start vector, so they do not depend on
+    call order.  Raises NormalFormError if the factor is exactly singular,
+    if ARPACK does not converge, or if sigma_min <= 1e-10 sigma_max."""
+    # imported here: only runs that build a graded system pay for it
+    import scipy.sparse.linalg as sla
+
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    try:
+        lu = sla.splu(A)
+        Ainv = sla.LinearOperator(
+            A.shape,
+            matvec=lu.solve,
+            rmatvec=lambda v: lu.solve(v, trans="T"),
+            dtype=float,
+        )
+        sigma_max = sla.svds(A, k=1, v0=v0, return_singular_vectors=False)[0]
+        inv_max = sla.svds(Ainv, k=1, v0=v0, return_singular_vectors=False)[0]
+    except RuntimeError as e:  # "Factor is exactly singular", ArpackNoConvergence
+        raise NormalFormError(f"graded system at degree {nu}: {e}") from e
+    sigma_max, sigma_min = float(sigma_max), 1.0 / float(inv_max)
+    # "not >" so that a NaN margin fails too
+    if not sigma_min > 1e-10 * sigma_max:
+        raise NormalFormError(
+            f"graded system at degree {nu} is numerically singular "
+            f"(sigma_min/sigma_max = {sigma_min / sigma_max:.3e})"
+        )
+    return lu, sigma_min, sigma_max
+
+
+def _coeff_block(F: MixedSeries):
+    """(keys, C): the coefficients of F as a one-column block."""
+    keys = list(F.coeffs)
+    return keys, np.array([F.coeffs[k] for k in keys], dtype=complex).reshape(-1, 1)
+
+
 class _LSystem:
-    """Assembled real linear system for one weighted degree."""
+    """Assembled real linear system for one weighted degree.
+
+    mat is the square sparse (CSC) matrix, assembled from the COO triplets
+    of its columns: first the map unknowns, then the remainder
+    coordinates.  lu is its SuperLU factor, remainder its remainder
+    columns, and sigma_min, sigma_max its extreme singular values
+    (_factor)."""
 
     def __init__(self, n, r, R, nu):
+        # imported here: only runs that build a graded system pay for it
+        import scipy.sparse
+
         self.n, self.r, self.nu = n, r, nu
         self.R = np.asarray(R, dtype=complex)
         trunc = nu
@@ -383,13 +438,10 @@ class _LSystem:
         for _ in range(nu // 2):
             sw.append(sw[-1] * (svar + 1j * Q))
 
-        monomials = _unknown_monomials(n, nu)
-        blocks = list(remainder_blocks(n, r, self.R, nu))
-        k0 = sum(len(parts) for *_, parts in monomials)
-        self.mat = np.zeros((self.nrows, k0 + sum(C.shape[1] for _, C in blocks)))
-
+        # column blocks (keys, C) in column order
+        blocks = []
         self.unknowns = []
-        for slot, comp, a, j, parts in monomials:
+        for slot, comp, a, j, parts in _unknown_monomials(n, nu):
             za = MixedSeries.monomial(n, trunc, a, (0,) * n, 0)
             if slot == "fp":
                 base = (2.0 * eps[comp]) * (za * zb[comp]) * sw[j]
@@ -399,45 +451,51 @@ class _LSystem:
                 base = 1j * (za * sw[j])
             for part in parts:
                 term = base if part == "x" else 1j * base
-                self.mat[:, len(self.unknowns)] = self.rhs_of(term.re_part())
+                blocks.append(_coeff_block(term.re_part()))
                 self.unknowns.append((slot, comp, a, j, part))
-
+        k0 = len(self.unknowns)
         # remainder-space coordinates, slice by slice
-        col = k0
-        for keys, C in blocks:
-            self._put(self.mat[:, col : col + C.shape[1]], zip(keys, C))
-            col += C.shape[1]
+        blocks.extend(remainder_blocks(n, r, self.R, nu))
 
-        if self.mat.shape[0] != self.mat.shape[1]:
+        rows, cols, vals = [], [], []
+        ncols = 0
+        for keys, C in blocks:
+            i, j, v = self._triplets(keys, C)
+            rows.append(i)
+            cols.append(j + ncols)
+            vals.append(v)
+            ncols += C.shape[1]
+        if self.nrows != ncols:
             raise NormalFormError(
                 f"graded system at degree {nu} is not square: "
-                f"{self.mat.shape[0]} equations, {self.mat.shape[1]} unknowns"
+                f"{self.nrows} equations, {ncols} unknowns"
             )
-        sv = np.linalg.svd(self.mat, compute_uv=False)
-        self.sigma_max = float(sv[0])
-        self.sigma_min = float(sv[-1])
-        if self.sigma_min <= 1e-10 * self.sigma_max:
-            raise NormalFormError(
-                f"graded system at degree {nu} is numerically singular "
-                f"(sigma_min/sigma_max = {self.sigma_min / self.sigma_max:.3e})"
-            )
-        self.lu = scipy.linalg.lu_factor(self.mat)
+        self.mat = scipy.sparse.csc_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.nrows, ncols),
+        )
+        self.remainder = self.mat[:, k0:]
+        self.lu, self.sigma_min, self.sigma_max = _factor(self.mat, nu)
 
-    def _put(self, out, items):
-        """Write the canonical real rows of (key, value) pairs into out;
-        a value is a coefficient or a row of coefficients."""
+    def _triplets(self, keys, C):
+        """COO triplets (row, column, value) of the canonical real rows of
+        the block C, whose row i holds coefficients at keys[i]; only
+        nonzero values are kept."""
         n = self.n
-        for key, val in items:
-            a, b = key[:n], key[n : 2 * n]
-            if a > b or a == b:
-                p, selfconj = self.row_index[key]
-                out[p] = val.real
-                if not selfconj:
-                    out[p + 1] = val.imag
+        take = [i for i, key in enumerate(keys) if key[:n] >= key[n : 2 * n]]
+        pos = np.array([self.row_index[keys[i]] for i in take], dtype=int)
+        p, selfconj = pos.reshape(-1, 2).T
+        imag = selfconj == 0  # the imaginary part has a row of its own
+        C = C[take]
+        rows = np.concatenate([p, p[imag] + 1])
+        block = np.concatenate([C.real, C[imag].imag])
+        i, j = np.nonzero(block)
+        return rows[i], j, block[i, j]
 
     def rhs_of(self, F: MixedSeries):
         v = np.zeros(self.nrows)
-        self._put(v, F.coeffs.items())
+        rows, _, vals = self._triplets(*_coeff_block(F))
+        v[rows] = vals
         return v
 
     def series_of(self, v, trunc) -> MixedSeries:
@@ -501,7 +559,7 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
         raise ValueError("input must be a real series")
     sys_ = _get_system(n, r, R, nu)
     rhs = sys_.rhs_of(F_nu)
-    x = scipy.linalg.lu_solve(sys_.lu, rhs)
+    x = sys_.lu.solve(rhs)
     residual = float(np.linalg.norm(sys_.mat @ x - rhs))
 
     trunc = max(F_nu.trunc, nu)
@@ -523,7 +581,7 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
         fp=[MixedSeries(n, trunc, t) for t in fp_terms],
         fn=MixedSeries(n, trunc, fn_terms),
         g=MixedSeries(n, trunc, g_terms),
-        N=sys_.series_of(sys_.mat[:, k0:] @ x[k0:], trunc),
+        N=sys_.series_of(sys_.remainder @ x[k0:], trunc),
         sigma_min=sys_.sigma_min,
         sigma_max=sys_.sigma_max,
         residual=residual,

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before numpy is first imported: with more, a graded
+# system build slows down many times over while another process holds a core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -198,6 +198,22 @@ class TestCommands:
     def test_bad_degree_exit_code(self, capsys):
         assert main(["normal-form", "z1*zb1", "--degree", "12"]) == 2
 
+    def test_degree_is_checked_against_the_series_json(self, capsys):
+        series = json.dumps(model_D(2, 10, (1.0,)).phi.to_json_dict())
+        assert main(["normal-form", series, "--degree", "10", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["diagnostics"]["per_degree"]
+        assert [r["nu"] for r in rows] == list(range(4, 11))
+        assert main(["normal-form", series, "--degree", "11"]) == 2
+        assert "[4, 10]" in capsys.readouterr().err
+
+    def test_degree_defaults_to_the_truncation_of_the_input(self, capsys):
+        series = json.dumps(model_D(2, 6, (1.0,)).phi.to_json_dict())
+        assert main(["normal-form", series, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["diagnostics"]["per_degree"]
+        assert [r["nu"] for r in rows] == [4, 5, 6]
+        assert main(["equiv", series, series, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["normal_forms_match"] is True
+
     def test_deterministic_json(self, capsys):
         argv = ["partial-nf", "z1*zb1 + zb2*z2^2 + z2*zb2^2", "--json"]
         main(argv)

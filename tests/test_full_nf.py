@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from crnf.series import MixedSeries
 from crnf.fischer import type_basis
@@ -11,9 +12,11 @@ from crnf.normal_space import (
     normal_slice_real_basis,
     project_normal,
 )
+from crnf import full_nf
 from crnf.full_nf import (
     NormalFormError,
     NormalizationP,
+    _factor,
     _get_system,
     check_G0,
     detect_model,
@@ -225,7 +228,7 @@ class TestSolveL:
         sol = solve_L(F, n - 1, R)
 
         sys_ = _get_system(n, n - 1, R, nu)
-        x = scipy.linalg.lu_solve(sys_.lu, sys_.rhs_of(F))
+        x = sys_.lu.solve(sys_.rhs_of(F))
         col = len(sys_.unknowns)
         N = {}
         for k in range(1, nu + 1):
@@ -249,6 +252,95 @@ class TestSolveL:
         assert (sol.N - oracle).norm() <= 1e-12 * max(1.0, oracle.norm())
         assert is_in_normal_space(sol.N, n - 1, R)
         assert sol.residual < 1e-9
+
+
+def _with_singular_values(s, seed=0):
+    """Q1 diag(s) Q2^t as a sparse CSC matrix, Q1, Q2 random orthogonal."""
+    rng = np.random.default_rng(seed)
+    Q1, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+    Q2, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+    return scipy.sparse.csc_array(Q1 @ np.diag(s) @ Q2.T)
+
+
+def _random_homogeneous(n, nu, rng):
+    """Real series with a random coefficient on every monomial of weighted
+    degree nu."""
+    coeffs = {}
+    for k in range(nu + 1):
+        for l in range(nu + 1 - k):
+            if (nu - k - l) % 2 == 0:
+                for key in type_basis(n, k, l, (nu - k - l) // 2):
+                    coeffs[key] = rng.normal() + 1j * rng.normal()
+    return MixedSeries(n, nu, coeffs).realified()
+
+
+# (n, lambda, nu, r): every system at r = n - 1 and at one r < n - 1
+SPARSE_ORACLE_SYSTEMS = [
+    pytest.param(n, lam, nu, r, id=f"n{n}-r{r}-nu{nu}")
+    for n, lam, nus in [
+        (2, (1.0,), range(4, 11)),
+        (3, (1.0, 0.37), range(4, 9)),
+        (4, (1.0, 0.41, 0.73), range(4, 6)),
+    ]
+    for r in (n - 1, (n - 1) // 2)
+    for nu in nus
+]
+
+
+class TestGradedSystem:
+    def test_zero_column_is_singular(self):
+        A = _with_singular_values(np.logspace(0, -2, 12)).toarray()
+        A[:, 5] = 0.0
+        with pytest.raises(NormalFormError, match="exactly singular"):
+            _factor(scipy.sparse.csc_array(A), 4)
+
+    def test_margin_below_the_gate_raises(self):
+        with pytest.raises(NormalFormError, match="numerically singular"):
+            _factor(_with_singular_values(np.logspace(0, -12, 12)), 4)
+
+    def test_margin_above_the_gate_passes(self):
+        A = _with_singular_values(np.logspace(0, -9, 12))
+        lu, sigma_min, sigma_max = _factor(A, 4)
+        assert sigma_max == pytest.approx(1.0, rel=1e-12)
+        assert sigma_min == pytest.approx(1e-9, rel=1e-6)
+        b = np.arange(12.0)
+        x = lu.solve(b)
+        # backward stable: the residual is small against |A| |x|, |A| = 1
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(x)
+
+    def test_lanczos_failure_raises(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(sla, "svds", no_convergence)
+        with pytest.raises(NormalFormError, match="No convergence"):
+            _factor(_with_singular_values(np.logspace(0, -2, 12)), 4)
+
+    @pytest.mark.parametrize("n, lam, nu, r", SPARSE_ORACLE_SYSTEMS)
+    def test_sparse_solver_matches_dense_oracle(self, n, lam, nu, r, monkeypatch):
+        monkeypatch.setattr(full_nf, "_SYSTEM_CACHE", {})
+        R = np.diag(lam)
+        F = _random_homogeneous(n, nu, np.random.default_rng(nu))
+        runs = []
+        for _ in range(2):
+            full_nf._SYSTEM_CACHE.clear()
+            sol = solve_L(F, r, R)
+            runs.append((sol.sigma_min, sol.sigma_max, sol.N.coeffs))
+        # bitwise: the answer must not depend on the cache state
+        assert runs[0] == runs[1]
+
+        sys_ = _get_system(n, r, R, nu)
+        A = sys_.mat.toarray()
+        sv = np.linalg.svd(A, compute_uv=False)
+        assert abs(sol.sigma_max - sv[0]) <= 1e-12 * sv[0]
+        assert abs(sol.sigma_min - sv[-1]) <= 1e-12 * sv[-1]
+        x = np.linalg.solve(A, sys_.rhs_of(F))
+        k0 = len(sys_.unknowns)
+        oracle = sys_.series_of(A[:, k0:] @ x[k0:], nu)
+        assert oracle.norm() > 0
+        assert (sol.N - oracle).norm() <= 1e-12 * max(1.0, oracle.norm())
 
 
 class TestNormalForm:

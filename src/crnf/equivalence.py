@@ -29,6 +29,9 @@ from .maps import FormalMap
 from .partial_nf import partial_nf
 from .full_nf import (
     NormalizationP,
+    _degree,
+    _gauge_table,
+    _slots,
     check_G0,
     factor_map,
     normal_form,
@@ -231,48 +234,26 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
         raise RuntimeError("sampled normalization failed the group conditions")
     if scale <= 0:
         return FormalMap.identity(n, trunc), P
-    # random gauge part: a few admissible higher-order monomials
+    # random gauge part: three proposed monomials per component, each kept
+    # if it is a gauge unknown at its weighted degree
+    # a term of weighted degree <= trunc has nu <= trunc + 2 (_degree)
+    table = _gauge_table(n, range(trunc + 3))
     ident = FormalMap.identity(n, trunc)
-    fs = list(ident.fs)
+    comps = ident.fs + [ident.g]
     zero = (0,) * n
-    for b in range(n - 1):
-        extra = MixedSeries.zero(n, trunc)
+    for i, (slot, comp) in enumerate(_slots(n)):
         for _ in range(3):
             j = int(rng.integers(0, trunc // 2 + 1))
-            d = int(rng.integers(0, trunc - 2 * j + 1)) if trunc - 2 * j >= 0 else 0
+            d = int(rng.integers(0, trunc - 2 * j + 1))
             a = tuple(rng.multinomial(d, [1.0 / n] * n))
-            if sum(a) + 2 * j < 3 or (sum(a) == 3 and j == 0):
+            key = a + zero + (j,)
+            parts = table[_degree(slot, key)].get((slot, comp, key))
+            if parts is None:
                 continue
             coeff = scale * (rng.normal() + 1j * rng.normal())
-            if sum(a) == 1 and j == 1:
-                alpha = a.index(1)
-                if alpha < b:
-                    continue
-                if alpha == b:
-                    coeff = 1j * coeff.imag
-            extra = extra + MixedSeries.monomial(n, trunc, a, zero, j, coeff)
-        fs[b] = fs[b] + extra
-    extra = MixedSeries.zero(n, trunc)
-    for _ in range(3):
-        j = int(rng.integers(0, trunc // 2 + 1))
-        d = int(rng.integers(0, max(trunc - 2 * j, 0) + 1))
-        a = tuple(rng.multinomial(d, [1.0 / n] * n))
-        if sum(a) + 2 * j < 2 or (sum(a) == 2 and j == 0):
-            continue
-        extra = extra + MixedSeries.monomial(
-            n, trunc, a, zero, j, scale * (rng.normal() + 1j * rng.normal())
-        )
-    fs[n - 1] = fs[n - 1] + extra
-    g = ident.g
-    for _ in range(3):
-        j = int(rng.integers(0, trunc // 2 + 1))
-        d = int(rng.integers(0, max(trunc - 2 * j, 0) + 1))
-        a = tuple(rng.multinomial(d, [1.0 / n] * n))
-        if sum(a) + 2 * j < 4:
-            continue
-        g = g + MixedSeries.monomial(
-            n, trunc, a, zero, j, scale * (rng.normal() + 1j * rng.normal())
-        )
-    T = FormalMap(fs, g)
+            if parts == "y":
+                coeff = 1j * coeff.imag
+            comps[i] = comps[i] + MixedSeries.monomial(n, trunc, a, zero, j, coeff)
+    T = FormalMap(comps[:n], comps[n])
     assert check_G0(T, tol)
     return T.compose(P.to_map(trunc, r)), P

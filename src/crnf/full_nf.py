@@ -54,6 +54,8 @@ from .normal_space import (
     eps_signs,
     is_in_normal_space,
     project_normal,
+    project_onto,
+    remainder_bases,
     remainder_blocks,
 )
 
@@ -262,41 +264,26 @@ def normalization_algebra(r, R, tol=DEFAULT_TOL):
 
 
 def check_G0(T: FormalMap, tol=DEFAULT_TOL):
-    """Second/third-order jet gauge: T = (z + f, w + g) with identity
-    linear part, f' = O(3), f^n = O(2), g = O(4), and vanishing constant
-    terms of d^2 f^n / dz^I, d^3 f^beta / dz^J, Re d^2 f^beta / dz^beta dw
-    and d^2 f^beta / dz^alpha dw (alpha < beta)."""
+    """T = id + (f', f^n, g) is in the gauge class G0: every coefficient of
+    T - id is a map unknown of the graded system (_unknown_monomials) at
+    its weighted degree.  Rejects any stored coefficient at a degree with
+    no unknowns, a coefficient of modulus > tol that is not an unknown
+    (the constants of NormalizationP), and a real part > tol where the
+    unknown is imaginary only."""
     n = T.n
-    A, c = T.jacobian0()
-    if np.linalg.norm(A - np.eye(n)) > tol or abs(c - 1.0) > tol:
-        return False
-    zero = (0,) * n
     ident = FormalMap.identity(n, T.trunc)
-    fs = [f - i for f, i in zip(T.fs, ident.fs)]
-    g = T.g - ident.g
-    md = g.min_wdeg()
-    if md is not None and md < 4:
-        return False
-    mdn = fs[n - 1].min_wdeg()
-    if mdn is not None and mdn < 2:
-        return False
-    for b in range(n - 1):
-        mdb = fs[b].min_wdeg()
-        if mdb is not None and mdb < 3:
+    terms = [
+        (slot, comp, key, v)
+        for (slot, comp), f, f0 in zip(_slots(n), T.fs + [T.g], ident.fs + [ident.g])
+        for key, v in (f - f0).coeffs.items()
+    ]
+    table = _gauge_table(n, {_degree(slot, key) for slot, _, key, _ in terms})
+    for slot, comp, key, v in terms:
+        unknowns = table[_degree(slot, key)]
+        parts = unknowns.get((slot, comp, key))
+        if not unknowns or (parts is None and abs(v) > tol):
             return False
-        for J in mons(n, 3):
-            if abs(fs[b].coeff(J, zero, 0)) > tol:
-                return False
-        for a in range(n - 1):
-            e = [0] * n
-            e[a] = 1
-            v = fs[b].coeff(tuple(e), zero, 1)
-            if a < b and abs(v) > tol:
-                return False
-            if a == b and abs(v.real) > tol:
-                return False
-    for I in mons(n, 2):
-        if abs(fs[n - 1].coeff(I, zero, 0)) > tol:
+        if parts == "y" and abs(v.real) > tol:
             return False
     return True
 
@@ -320,41 +307,58 @@ def _canonical_rows(n, nu):
     return rows
 
 
+#: a map term z^a s^j in slot "fp" (f'), "fn" (f^n) or "g" has weighted
+#: degree |a| + 2j + _OFFSET[slot]
+_OFFSET = {"fp": 1, "fn": 2, "g": 0}
+
+
+def _slots(n):
+    """(slot, comp) of the map components f^1, ..., f^n, g in order."""
+    return [("fp", beta) for beta in range(n - 1)] + [("fn", 0), ("g", 0)]
+
+
+def _degree(slot, key):
+    """Weighted degree of the map term with series key ``key`` in ``slot``."""
+    return sum(key[:-1]) + 2 * key[-1] + _OFFSET[slot]
+
+
 def _unknown_monomials(n, nu):
-    """Gauge-admissible map unknowns at weighted degree nu: list of
-    (slot, comp, a, j, parts) with parts in {"xy", "y"}."""
+    """The gauge class G0 at weighted degree nu: the map unknowns of the
+    graded system, a list of (slot, comp, a, j, parts) with parts in
+    {"xy", "y"}.  This is the one statement of G0 (check_G0 and the
+    sampler of equivalence.random_allowed_map read it): T - id starts at
+    degree 4, and the constants of NormalizationP are left out."""
+    if nu < 4:
+        return []
+    by_degree = [mons(n, d) for d in range(nu + 1)]
     out = []
-    for beta in range(n - 1):
-        for j in range((nu - 1) // 2 + 1):
-            d = nu - 1 - 2 * j
-            if d < 0:
-                continue
-            for a in mons(n, d):
-                if d == 3 and j == 0:
-                    continue  # a^beta_J constants live in P
+    for slot, comp in _slots(n):
+        for j in range((nu - _OFFSET[slot]) // 2 + 1):
+            d = nu - _OFFSET[slot] - 2 * j
+            for a in by_degree[d]:
                 parts = "xy"
-                if d == 1 and j == 1:
+                if slot == "fp" and (d, j) == (3, 0):
+                    continue  # a^beta_J constants live in P
+                if slot == "fp" and (d, j) == (1, 1):
                     alpha = a.index(1)
-                    if alpha < beta:
+                    if alpha < comp:
                         continue  # b^beta_alpha constants live in P
-                    if alpha == beta:
+                    if alpha == comp:
                         parts = "y"  # real part is the c^beta constant
-                out.append(("fp", beta, a, j, parts))
-    for j in range((nu - 2) // 2 + 1):
-        d = nu - 2 - 2 * j
-        if d < 0:
-            continue
-        for a in mons(n, d):
-            if d == 2 and j == 0:
-                continue  # d_I constants live in P
-            out.append(("fn", 0, a, j, "xy"))
-    for j in range(nu // 2 + 1):
-        d = nu - 2 * j
-        if d < 0:
-            continue
-        for a in mons(n, d):
-            out.append(("g", 0, a, j, "xy"))
+                if slot == "fn" and (d, j) == (2, 0):
+                    continue  # d_I constants live in P
+                out.append((slot, comp, a, j, parts))
     return out
+
+
+def _gauge_table(n, degrees):
+    """{nu: {(slot, comp, series key): parts}}: the unknowns of
+    _unknown_monomials at each weighted degree nu in degrees."""
+    zero = (0,) * n
+    return {
+        nu: {(slot, comp, a + zero + (j,)): parts for slot, comp, a, j, parts in _unknown_monomials(n, nu)}
+        for nu in degrees
+    }
 
 
 def _factor(A, nu):
@@ -404,9 +408,10 @@ class _LSystem:
 
     mat is the square sparse (CSC) matrix, assembled from the COO triplets
     of its columns: first the map unknowns, then the remainder
-    coordinates.  lu is its SuperLU factor, remainder its remainder
-    columns, and sigma_min, sigma_max its extreme singular values
-    (_factor)."""
+    coordinates.  bases holds the real bases of the remainder slices
+    (normal_space.remainder_bases) behind those coordinates, lu is the
+    SuperLU factor, remainder the remainder columns, and sigma_min,
+    sigma_max the extreme singular values (_factor)."""
 
     def __init__(self, n, r, R, nu):
         # imported here: only runs that build a graded system pay for it
@@ -455,7 +460,8 @@ class _LSystem:
                 self.unknowns.append((slot, comp, a, j, part))
         k0 = len(self.unknowns)
         # remainder-space coordinates, slice by slice
-        blocks.extend(remainder_blocks(n, r, self.R, nu))
+        self.bases = remainder_bases(n, r, self.R, nu)
+        blocks.extend(remainder_blocks(n, self.bases))
 
         rows, cols, vals = [], [], []
         ncols = 0
@@ -731,7 +737,8 @@ def normal_form(M: Hypersurface, P: NormalizationP = None, degree=None,
         T_total = step if T_total is None else step.compose(T_total)
         # exactness per degree: non-remainder components vanish through nu
         Dn = (cur.phi - phi0).weighted_component(nu)
-        _, comp = project_normal(Dn, r, R, tol)
+        bases = _get_system(n, r, R, nu).bases
+        _, comp = project_onto(Dn, bases.__getitem__, tol)
         scale = max(1.0, Dn.norm())
         if comp.norm() > 1e3 * tol * scale:
             raise NormalFormError(

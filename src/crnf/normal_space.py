@@ -261,9 +261,6 @@ def _clause_for(k, l):
     return None, False
 
 
-_BASIS_CACHE = {}
-
-
 def normal_slice_real_basis(n, r, R, k, l, m):
     """Orthonormal real basis (stacked coords, 2d rows) of the remainder
     subspace of the type-(k,l), s^m slice; requires k >= l >= 1.
@@ -273,9 +270,6 @@ def normal_slice_real_basis(n, r, R, k, l, m):
     """
     if k < l:
         raise ValueError("use k >= l; the (l,k) part follows by conjugation")
-    cache_key = (n, r, tuple(np.asarray(R, dtype=complex).ravel().round(14)), k, l, m)
-    if cache_key in _BASIS_CACHE:
-        return _BASIS_CACHE[cache_key]
     basis = type_basis(n, k, l, m)
     d = len(basis)
     trunc = k + l + 2 * m
@@ -288,11 +282,21 @@ def normal_slice_real_basis(n, r, R, k, l, m):
         out = _realize(builder(n, r, R, trunc, m))
     if k == l:
         P = 0.5 * (np.eye(2 * d) + _sigma_matrix(basis, n))
-        out = _colspace(P @ out)
-    else:
-        out = _colspace(out)
-    _BASIS_CACHE[cache_key] = out
-    return out
+        return _colspace(P @ out)
+    return _colspace(out)
+
+
+def remainder_bases(n, r, R, nu):
+    """The real bases of the remainder space at weighted degree nu:
+    {(k, l, m): normal_slice_real_basis(n, r, R, k, l, m)} over the type
+    slices with k >= l >= 1 and k + l + 2m = nu."""
+    bases = {}
+    for k in range(1, nu + 1):
+        for l in range(1, k + 1):
+            m2 = nu - k - l
+            if m2 >= 0 and m2 % 2 == 0:
+                bases[(k, l, m2 // 2)] = normal_slice_real_basis(n, r, R, k, l, m2 // 2)
+    return bases
 
 
 # ---------------------------------------------------------------------------
@@ -326,39 +330,53 @@ def _unstack(x):
     return x[:d] + 1j * x[d:]
 
 
+def _project_slices(F: MixedSeries, basis, tol):
+    """The type slices (k, l, m) of the real series F with k >= l, in
+    sorted order: yields ((k, l, m), coeffs, keys, x, p) with coeffs the
+    slice's coefficients, keys its monomials (type_basis), x its stacked
+    coefficient vector and p the orthogonal projection of x onto the
+    remainder slice.  basis((k, l, m)) is the real basis of a listed
+    slice; types with k or l = 0 project to 0, unlisted types to x."""
+    if not F.is_real(tol):
+        raise ValueError("input series must be real")
+    n = F.n
+    for (k, l, m), coeffs in sorted(_type_slices(F).items()):
+        if k < l:
+            continue  # implied by reality of F
+        keys = type_basis(n, k, l, m)
+        x = _stack(_slice_vector(coeffs, keys))
+        if k == 0 or l == 0:
+            p = np.zeros_like(x)
+        elif _clause_for(k, l)[0] is None:
+            p = x
+        else:
+            B = basis((k, l, m))
+            p = B @ (B.T @ x)
+        yield (k, l, m), coeffs, keys, x, p
+
+
+def _fresh_bases(n, r, R):
+    return lambda klm: normal_slice_real_basis(n, r, R, *klm)
+
+
 def normal_space_report(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     """Per-type membership certificates for the remainder space.
 
     Returns {(k,l,m): {"listed", "residual", "ok"}} for k >= l; the
     conjugate (l,k) parts are implied by reality of F.
     """
-    if not F.is_real(tol):
-        raise ValueError("input series must be real")
-    n = F.n
-    slices = _type_slices(F)
     report = {}
-    for (k, l, m), coeffs in sorted(slices.items()):
-        if k < l:
-            continue
+    for (k, l, m), coeffs, _, x, p in _project_slices(F, _fresh_bases(F.n, r, R), tol):
         scale = max(abs(v) for v in coeffs.values())
         if k == 0 or l == 0:
-            report[(k, l, m)] = {
-                "listed": True,
-                "residual": scale,
-                "ok": scale <= tol,
-            }
-            continue
-        builder, _ = _clause_for(k, l)
-        if builder is None:
-            report[(k, l, m)] = {"listed": False, "residual": 0.0, "ok": True}
-            continue
-        B = normal_slice_real_basis(n, r, R, k, l, m)
-        x = _stack(_slice_vector(coeffs, type_basis(n, k, l, m)))
-        resid = float(np.linalg.norm(x - B @ (B.T @ x)))
+            resid, ok = scale, scale <= tol
+        else:
+            resid = float(np.linalg.norm(x - p))
+            ok = resid <= tol * (1.0 + scale)
         report[(k, l, m)] = {
-            "listed": True,
+            "listed": k == 0 or l == 0 or _clause_for(k, l)[0] is not None,
             "residual": resid,
-            "ok": resid <= tol * (1.0 + scale),
+            "ok": ok,
         }
     return report
 
@@ -368,6 +386,23 @@ def is_in_normal_space(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     return all(entry["ok"] for entry in report.values())
 
 
+def project_onto(F: MixedSeries, basis, tol=DEFAULT_TOL):
+    """(N, F - N): the orthogonal projection N (coefficient metric) of the
+    real series F onto the remainder space whose listed slices have the
+    real bases basis((k, l, m)) (see _project_slices)."""
+    n = F.n
+    N_coeffs = {}
+    for (k, l, m), _, keys, _, p in _project_slices(F, basis, tol):
+        for key, val in zip(keys, _unstack(p)):
+            if abs(val) > STORE_TOL:
+                N_coeffs[key] = complex(val)
+                if k != l:
+                    ck = key[n : 2 * n] + key[:n] + (key[2 * n],)
+                    N_coeffs[ck] = complex(np.conj(val))
+    N = MixedSeries(n, F.trunc, N_coeffs)
+    return N, F - N
+
+
 def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     """Orthogonal projection (coefficient metric) onto the remainder
     space: returns (N, complement) with F = N + complement, N in the
@@ -375,61 +410,30 @@ def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL):
 
     F must be real; all type slices are processed.
     """
-    if not F.is_real(tol):
-        raise ValueError("input series must be real")
-    n, trunc = F.n, F.trunc
-    slices = _type_slices(F)
-    N_coeffs = {}
-    for (k, l, m), coeffs in slices.items():
-        if k < l:
-            continue  # filled by conjugation
-        if k == 0 or l == 0:
-            continue  # projection is zero
-        builder, _ = _clause_for(k, l)
-        basis = type_basis(n, k, l, m)
-        if builder is None:
-            proj = _slice_vector(coeffs, basis)
-        else:
-            B = normal_slice_real_basis(n, r, R, k, l, m)
-            x = _stack(_slice_vector(coeffs, basis))
-            proj = _unstack(B @ (B.T @ x))
-        for key, val in zip(basis, proj):
-            if abs(val) > STORE_TOL:
-                N_coeffs[key] = complex(val)
-                if k != l:
-                    ck = key[n : 2 * n] + key[:n] + (key[2 * n],)
-                    N_coeffs[ck] = complex(np.conj(val))
-    N = MixedSeries(n, trunc, N_coeffs)
-    return N, F - N
+    return project_onto(F, _fresh_bases(F.n, r, R), tol)
 
 
-def remainder_blocks(n, r, R, nu):
-    """Complex coefficient blocks of the remainder space at weighted degree nu.
+def remainder_blocks(n, bases):
+    """Complex coefficient blocks of the remainder space with the slice
+    bases ``bases`` (remainder_bases).
 
-    Yields (keys, C) per type slice (k, l, m) with k >= l >= 1 and
-    k + l + 2m = nu: column j of C holds the monomial coefficients, at
-    keys, of the j-th real basis vector of the slice
-    (normal_slice_real_basis).  For k != l the keys and rows of the
-    conjugate (l, k) slice follow those of the slice itself, so each
-    column is a real series.  Entries of modulus <= STORE_TOL are 0.
+    Yields (keys, C) per type slice (k, l, m): column j of C holds the
+    monomial coefficients, at keys, of the j-th real basis vector of the
+    slice.  For k != l the keys and rows of the conjugate (l, k) slice
+    follow those of the slice itself, so each column is a real series.
+    Entries of modulus <= STORE_TOL are 0.
     """
-    for k in range(1, nu + 1):
-        for l in range(1, k + 1):
-            m2 = nu - k - l
-            if m2 < 0 or m2 % 2:
-                continue
-            m = m2 // 2
-            keys = type_basis(n, k, l, m)
-            d = len(keys)
-            B = normal_slice_real_basis(n, r, R, k, l, m)
-            C = B[:d] + 1j * B[d:]
-            C[np.abs(C) <= STORE_TOL] = 0.0
-            if k != l:
-                keys = keys + [key[n : 2 * n] + key[:n] + (m,) for key in keys]
-                C = np.vstack([C, C.conj()])
-            yield keys, C
+    for (k, l, m), B in bases.items():
+        keys = type_basis(n, k, l, m)
+        d = len(keys)
+        C = B[:d] + 1j * B[d:]
+        C[np.abs(C) <= STORE_TOL] = 0.0
+        if k != l:
+            keys = keys + [key[n : 2 * n] + key[:n] + (m,) for key in keys]
+            C = np.vstack([C, C.conj()])
+        yield keys, C
 
 
 def normal_space_dim(n, r, R, nu):
     """Total real dimension of the remainder space at weighted degree nu."""
-    return sum(C.shape[1] for _, C in remainder_blocks(n, r, R, nu))
+    return sum(B.shape[1] for B in remainder_bases(n, r, R, nu).values())

@@ -304,9 +304,6 @@ class MixedSeries:
         a = list(map(abs, self.coeffs.values()))
         return math.nan if math.isnan(sum(a)) else max(a, default=0.0)
 
-    def is_zero(self, tol=DEFAULT_TOL):
-        return self.norm() <= tol
-
     def min_wdeg(self):
         w = self.weights
         return min((_wdeg(k, w) for k in self.coeffs), default=None)

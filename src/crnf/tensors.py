@@ -255,17 +255,6 @@ class TensorRep:
     F_basis: np.ndarray  # N x dimF, orthonormal columns
     trivial: bool = False
 
-    def symmetry_defect(self):
-        j = self.order
-        if j < 2 or self.components.size == 0:
-            return 0.0
-        worst = 0.0
-        c = self.components
-        for ax1 in range(j):
-            for ax2 in range(ax1 + 1, j):
-                worst = max(worst, float(np.max(np.abs(c - np.swapaxes(c, ax1, ax2)))))
-        return worst
-
     def to_json(self):
         comp = self.components
         return {
@@ -364,80 +353,20 @@ def basis_change(t: TensorRep, B, a) -> TensorRep:
 
 
 # ---------------------------------------------------------------------------
-# the cubic form via nested brackets
-
-
-def _field_apply(X, F: MixedSeries) -> MixedSeries:
-    """Apply a (2N)-component vector field (over d/dZ then d/dZbar) to F."""
-    N = F.n
-    out = MixedSeries.zero(N, F.trunc)
-    for m in range(N):
-        if X[m].norm():
-            out = out + X[m] * F.diff("z", m + 1)
-        if X[N + m].norm():
-            out = out + X[N + m] * F.diff("zb", m + 1)
-    return out
-
-
-def _bracket(X, Y):
-    """Lie bracket of two vector fields given by 2N coefficient series."""
-    return [_field_apply(X, Ym) - _field_apply(Y, Xm) for Xm, Ym in zip(X, Y)]
-
-
-#: empirical constant relating the raw nested-bracket pairing to the
-#: normalized cubic form (fixed once by the model examples; see tests)
-CUBIC_CALIBRATION = -0.25j
+# the cubic form
 
 
 def cubic_form(M, frame=None, tol=DEFAULT_TOL) -> TensorRep:
-    """Cubic form q(L_a, L_b, N) = <d rho, [L_b, [L_a, N]]> at 0, computed
-    from nested brackets of the frame fields, normalized so that on a
-    hypersurface already in third-order normal form q = (i/2) h holds
-    componentwise."""
+    """Cubic form q(L_a, L_b, N) = <d rho, [L_b, [L_a, N]]> at 0 of a
+    hypersurface, normalized so that on a hypersurface already in
+    third-order normal form q = (i/2) h holds componentwise: it equals
+    (i/2) times the third tensor (tests/test_tensors.py checks this
+    against the nested brackets, off model form too)."""
     Mg = _as_generic(M)
     if Mg.d != 1:
         raise ValueError("cubic form requires a hypersurface")
-    if frame is None:
-        frame = cr_frame(Mg)
-    n, N = Mg.n, Mg.N
-    F = F_space(Mg, E_spaces(Mg, 1, frame, tol)[1], frame, tol)
-    if F.dim == 0:
-        return TensorRep(2, np.zeros((n, n, 0, 1), dtype=complex), F.basis, trivial=True)
-    zero2N = [MixedSeries.zero(N, Mg.trunc) for _ in range(2 * N)]
-    # frame fields as 2N-component vectors (antiholomorphic part only)
-    Lbar = []
-    for coeffs in frame.L:
-        X = list(zero2N)
-        for m in range(N):
-            X[N + m] = coeffs[m]
-        Lbar.append(X)
-    # conjugate frame fields (holomorphic part only)
-    Lconj = []
-    for coeffs in frame.L:
-        X = list(zero2N)
-        for m in range(N):
-            X[m] = coeffs[m].conj()
-        Lconj.append(X)
-    # F_1 vectors expressed in the conjugate frame: F.basis = Vbar @ cvec
-    V = vbar_basis(frame)
-    cvecs, *_ = np.linalg.lstsq(V, F.basis, rcond=None)
-    rho_z0 = _value0([Mg.rho_z(1, m + 1) for m in range(N)])
-    comp = np.zeros((n, n, F.dim, 1), dtype=complex)
-    for f in range(F.dim):
-        Nf = list(zero2N)
-        for b in range(n):
-            cb = complex(cvecs[b, f])
-            if abs(cb) > 1e-15:
-                for m in range(2 * N):
-                    if Lconj[b][m].norm():
-                        Nf[m] = Nf[m] + cb * Lconj[b][m]
-        for al in range(n):
-            inner = _bracket(Lbar[al], Nf)
-            for be in range(n):
-                outer = _bracket(Lbar[be], inner)
-                val = _value0(outer[:N]) @ rho_z0
-                comp[al, be, f, 0] = CUBIC_CALIBRATION * val
-    return TensorRep(2, comp, F.basis)
+    t = third_tensor(Mg, frame, tol)
+    return TensorRep(2, 0.5j * t.components, t.F_basis, t.trivial)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 
 from crnf.series import MixedSeries
-from crnf.fischer import type_basis
+from crnf.fischer import mons, type_basis
 from crnf.hypersurfaces import Hypersurface, model_D, model_hypersurface, sphere
 from crnf.maps import FormalMap, apply_map
 from crnf.normal_space import (
@@ -136,6 +136,63 @@ class TestCheckG0:
         )
         assert not check_G0(bad)
         assert check_G0(good)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_table_driven_check_matches_rule_oracle(self, n):
+        """check_G0 agrees with the rules written out term by term on
+        identity + c * monomial, for every monomial of every component."""
+        trunc = 7
+        I = FormalMap.identity(n, trunc)
+        cs = [0.3, 0.3j, 2e-9, 2e-9j, 5e-10, 5e-10j, 1e-12, 1e-12j, 0.3 + 5e-10j]
+        cases = 0
+        for i in range(n + 1):
+            for j in range(trunc // 2 + 1):
+                for d in range(trunc - 2 * j + 1):
+                    for a in mons(n, d):
+                        for c in cs:
+                            comps = I.fs + [I.g]
+                            comps[i] = comps[i] + MixedSeries.monomial(n, trunc, a, (0,) * n, j, c)
+                            T = FormalMap(comps[:n], comps[n], check=False)
+                            assert check_G0(T) == _check_G0_rules(T), (i, a, j, c)
+                            cases += 1
+        assert cases == {2: 1890, 3: 7200}[n]
+
+
+def _check_G0_rules(T, tol=1e-9):
+    """Oracle for check_G0: the gauge rules written out one by one."""
+    n = T.n
+    A, c = T.jacobian0()
+    if np.linalg.norm(A - np.eye(n)) > tol or abs(c - 1.0) > tol:
+        return False
+    zero = (0,) * n
+    ident = FormalMap.identity(n, T.trunc)
+    fs = [f - i for f, i in zip(T.fs, ident.fs)]
+    g = T.g - ident.g
+    md = g.min_wdeg()
+    if md is not None and md < 4:
+        return False
+    mdn = fs[n - 1].min_wdeg()
+    if mdn is not None and mdn < 2:
+        return False
+    for b in range(n - 1):
+        mdb = fs[b].min_wdeg()
+        if mdb is not None and mdb < 3:
+            return False
+        for J in mons(n, 3):
+            if abs(fs[b].coeff(J, zero, 0)) > tol:
+                return False
+        for a in range(n - 1):
+            e = [0] * n
+            e[a] = 1
+            v = fs[b].coeff(tuple(e), zero, 1)
+            if a < b and abs(v) > tol:
+                return False
+            if a == b and abs(v.real) > tol:
+                return False
+    for I in mons(n, 2):
+        if abs(fs[n - 1].coeff(I, zero, 0)) > tol:
+            return False
+    return True
 
 
 class TestDetectModel:
@@ -393,6 +450,15 @@ class TestNormalForm:
             normal_form(M, degree=9)
         with pytest.raises(ValueError):
             normal_form(M, degree=3)
+
+    def test_non_remainder_defect_raises(self, monkeypatch):
+        """A degree step that does not remove the non-remainder part of
+        F_nu fails loudly."""
+        monkeypatch.setattr(
+            full_nf.GradedSolution, "to_map", lambda self, trunc: FormalMap.identity(self.fn.n, trunc)
+        )
+        with pytest.raises(NormalFormError, match="non-remainder defect"):
+            normal_form(perturbed_model(2, 6, (1.0,), seed=4))
 
     def test_json_shape(self):
         res = normal_form(perturbed_model(2, 8, (1.0,), seed=4), degree=5)

@@ -75,24 +75,17 @@ class TestDimensions:
                 target += len(mons(n, k)) * len(mons(n, d - k))
         assert nunk + ndim == target
 
-    def test_slice_bases_do_not_depend_on_cache_state(self):
-        from crnf import normal_space
+    def test_slice_bases_do_not_depend_on_cache_state(self, monkeypatch):
+        from crnf import full_nf, normal_space
 
         n, r, R, nu = 3, 2, np.diag([1.0, 0.5]), 8
-        slices = [
-            (k, l, (nu - k - l) // 2)
-            for k in range(1, nu + 1)
-            for l in range(1, k + 1)
-            if k + l <= nu and (nu - k - l) % 2 == 0
-        ]
-        normal_space._BASIS_CACHE.clear()
+        monkeypatch.setattr(full_nf, "_SYSTEM_CACHE", {})
         for lower in range(4, nu):
-            normal_space_dim(n, r, R, lower)
-        warm = [normal_space.normal_slice_real_basis(n, r, R, *kl_m) for kl_m in slices]
-        normal_space._BASIS_CACHE.clear()
-        cold = [normal_space.normal_slice_real_basis(n, r, R, *kl_m) for kl_m in slices]
-        for kl_m, a, b in zip(slices, warm, cold):
-            assert np.array_equal(a, b), kl_m
+            full_nf._get_system(n, r, R, lower)
+        held = full_nf._get_system(n, r, R, nu).bases
+        assert len(held) == 10
+        for kl_m, B in held.items():
+            assert np.array_equal(B, normal_space.normal_slice_real_basis(n, r, R, *kl_m)), kl_m
 
 
 class TestMembership:

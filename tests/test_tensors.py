@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crnf.hypersurfaces import GenericSubmanifold, Hypersurface, flat, model_D, sphere
 from crnf.parser import parse_expression
+from crnf.fischer import mons
 from crnf.series import MixedSeries
 from crnf.linalg import orthonormal_basis, principal_angle_gap
 from crnf.tensors import (
@@ -27,6 +28,7 @@ from crnf.tensors import (
     random_frame,
     tensors_report,
     third_tensor,
+    vbar_basis,
 )
 from conftest import perturbed_model, random_real_perturbation
 
@@ -79,11 +81,88 @@ def test_psi_symmetry_in_first_slots():
     assert np.max(np.abs(c - np.swapaxes(c, 0, 1))) < 1e-9
 
 
+def _field_apply(X, F: MixedSeries) -> MixedSeries:
+    """Apply a (2N)-component vector field (over d/dZ then d/dZbar) to F."""
+    N = F.n
+    out = MixedSeries.zero(N, F.trunc)
+    for m in range(N):
+        if X[m].norm():
+            out = out + X[m] * F.diff("z", m + 1)
+        if X[N + m].norm():
+            out = out + X[N + m] * F.diff("zb", m + 1)
+    return out
+
+
+def _bracket(X, Y):
+    """Lie bracket of two vector fields given by 2N coefficient series."""
+    return [_field_apply(X, Ym) - _field_apply(Y, Xm) for Xm, Ym in zip(X, Y)]
+
+
+def bracket_cubic_form(M):
+    """Oracle for cubic_form: q(L_a, L_b, N) = <d rho, [L_b, [L_a, N]]> at 0
+    from nested brackets of the frame fields, with N running over F_1.
+    The constant -i/4 relates the raw pairing to the normalization
+    q = (i/2) h on a hypersurface in third-order normal form."""
+    Mg = M.to_generic()
+    frame = cr_frame(Mg)
+    n, N = Mg.n, Mg.N
+    F = F_space(Mg, E_spaces(Mg, 1, frame)[1], frame)
+    zero2N = [MixedSeries.zero(N, Mg.trunc) for _ in range(2 * N)]
+    # frame fields (antiholomorphic part only) and their conjugates
+    # (holomorphic part only) as 2N-component vectors
+    Lbar = [zero2N[:N] + list(coeffs) for coeffs in frame.L]
+    Lconj = [[c.conj() for c in coeffs] + zero2N[N:] for coeffs in frame.L]
+    # F_1 vectors expressed in the conjugate frame: F.basis = Vbar @ cvec
+    cvecs, *_ = np.linalg.lstsq(vbar_basis(frame), F.basis, rcond=None)
+    rho_z0 = _value0([Mg.rho_z(1, m + 1) for m in range(N)])
+    comp = np.zeros((n, n, F.dim, 1), dtype=complex)
+    for f in range(F.dim):
+        Nf = list(zero2N)
+        for b in range(n):
+            cb = complex(cvecs[b, f])
+            if abs(cb) > 1e-15:
+                Nf = [X + cb * Y for X, Y in zip(Nf, Lconj[b])]
+        for al in range(n):
+            inner = _bracket(Lbar[al], Nf)
+            for be in range(n):
+                outer = _bracket(Lbar[be], inner)
+                comp[al, be, f, 0] = -0.25j * (_value0(outer[:N]) @ rho_z0)
+    return comp
+
+
+def nonlinear_change(M, rng, amp=0.3):
+    """The hypersurface M moved by z -> z + (random terms of degree 1 to 3
+    in z), which changes its cubic terms."""
+    n, T = M.n, M.phi.trunc
+    zs = []
+    for k in range(n):
+        f = MixedSeries.variable(n, T, "z", k + 1)
+        for d in (1, 2, 3):
+            for a in mons(n, d):
+                c = amp * (rng.normal() + 1j * rng.normal())
+                f = f + MixedSeries.monomial(n, T, a, (0,) * n, 0, c)
+        zs.append(f)
+    return Hypersurface(M.phi.subs(z=zs, zb=[f.conj() for f in zs]))
+
+
 def test_cubic_form_matches_third_tensor():
     M = model_D(3, 6, (1.0, 0.5))
     h = third_tensor(M).components[:, :, 0, 0]
     q = cubic_form(M).components[:, :, 0, 0]
     assert np.max(np.abs(q - 0.5j * h)) < 1e-8
+    # the nested-bracket oracle agrees with (i/2) third_tensor on models and
+    # on perturbed models moved by nonlinear maps
+    rng = np.random.default_rng(11)
+    for n, lam in [(2, (1.0,)), (2, (0.0,)), (3, (1.0, 0.5))]:
+        inputs = [model_D(n, 5, lam)]
+        for seed in (1, 2):
+            inputs.append(nonlinear_change(perturbed_model(n, 5, lam, seed=seed, amp=0.03), rng))
+        for M in inputs:
+            h = third_tensor(M).components
+            assert h.shape == (n, n, 1, 1)
+            oracle = bracket_cubic_form(M)
+            assert np.max(np.abs(oracle - 0.5j * h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+            assert np.array_equal(cubic_form(M).components, 0.5j * h)
 
 
 def test_nondegeneracy_orders():

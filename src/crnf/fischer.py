@@ -13,20 +13,20 @@ inert for these operators, so mixed inputs are processed slice by slice.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .series import DEFAULT_TOL, MixedSeries
 
 
+@functools.cache
 def mons(n, deg):
-    """All exponent tuples of length n with given total degree (lex order)."""
+    """All exponent tuples of length n with given total degree, as a tuple
+    in descending lex order.  Cached: the result is immutable."""
     if n == 1:
-        return [(deg,)]
-    out = []
-    for first in range(deg, -1, -1):
-        for rest in mons(n - 1, deg - first):
-            out.append((first,) + rest)
-    return out
+        return ((deg,),)
+    return tuple((first,) + rest for first in range(deg, -1, -1) for rest in mons(n - 1, deg - first))
 
 
 def type_basis(n, k, l, m):

@@ -14,12 +14,24 @@ all operations return new objects.  Terms of weighted degree above
 ``trunc`` are discarded eagerly, and coefficients of modulus below
 ``STORE_TOL`` are never stored.  A NaN coefficient is kept, so that a
 numerical failure shows in ``norm()`` instead of vanishing.
+
+A series stores its terms as a dict from exponent tuples to coefficients
+(``MixedSeries.coeffs``).  Composition (:meth:`MixedSeries.subs`) instead
+runs on arrays from entry to exit: an int64 exponent array with one row per
+term and a complex128 coefficient vector.  Monomial images are applied to
+all terms by one integer matrix product; the other images are substituted
+one slot at a time through the array Cauchy product :func:`_mul_arrays`.
+Equal exponent rows are summed by packing each row into one int64 key (a
+mixed radix with one digit per slot, sized by the truncation) and then
+``np.unique`` and ``np.bincount``; when such keys would overflow, rows are
+compared whole.  Small products of series (``*``) stay in dict loops.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -39,79 +51,135 @@ class NormalFormError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# dict-level helpers.  A "termdict" maps an exponent tuple to a complex
-# coefficient; `weights` is the per-slot weight vector.
+# helpers.  A "termdict" maps an exponent tuple to a complex coefficient.
+# A MixedSeries key has slot weights (1, ..., 1, 2), so its weighted degree
+# is ``sum(k) + k[-1]``.  An "array series" is a pair (exps, vals): an
+# int64 exponent array of shape (k, nslots) and a complex128 vector.
 
 
-def _wdeg(exp, weights):
-    return sum(w * e for w, e in zip(weights, exp))
-
-
-def _clean(terms, weights, trunc):
+def _clean(terms, trunc):
     return {
         k: complex(v)
         for k, v in terms.items()
-        if not abs(v) <= STORE_TOL and _wdeg(k, weights) <= trunc
+        if not abs(v) <= STORE_TOL and sum(k) + k[-1] <= trunc
     }
 
 
-def _add_into(acc, terms, factor=1.0):
+def _add_into(acc, terms):
     for k, v in terms.items():
-        acc[k] = acc.get(k, 0.0) + factor * v
+        acc[k] = acc.get(k, 0.0) + v
 
 
-def _mul_arrays(expA, valA, expB, valB, weights, trunc):
-    """Cauchy product of exponent/coefficient arrays (``(k, nslots)`` int64
-    and complex128).  Output exponents are packed into one mixed-radix key
-    with radix ``trunc + 2``: every exponent of a truncated term is at most
-    ``trunc``, since all slot weights are >= 1."""
-    wa = expA @ weights
-    wb = expB @ weights
-    ii, jj = np.nonzero(wa[:, None] + wb[None, :] <= trunc)
-    nc = expA.shape[1]
-    if ii.size == 0:
-        return np.empty((0, nc), dtype=np.int64), np.empty(0, dtype=np.complex128)
-    exps = expA[ii] + expB[jj]
+def _strides(weights, trunc):
+    """Mixed-radix strides that pack an exponent row of weighted degree
+    <= trunc into one int64 key, injectively: the exponent of a slot of
+    weight w is at most trunc // w.  None when the keys would not fit."""
+    strides = []
+    size = 1
+    for w in reversed(weights):
+        strides.append(size)
+        size *= trunc // int(w) + 1
+    if size > np.iinfo(np.int64).max:
+        return None
+    return np.array(strides[::-1], dtype=np.int64)
+
+
+def _sum_equal(keys, vals):
+    """The index of one occurrence of each distinct key, and the summed
+    coefficient of each, keys in ascending order.  ``keys`` is a vector of
+    packed keys or an exponent array compared row by row."""
+    uk, inv = np.unique(keys, return_inverse=True, axis=None if keys.ndim == 1 else 0)
+    inv = inv.reshape(-1)
+    at = np.empty(len(uk), dtype=np.intp)
+    at[inv] = np.arange(inv.size)
+    out = np.empty(len(uk), dtype=np.complex128)
+    out.real = np.bincount(inv, vals.real, len(uk))
+    out.imag = np.bincount(inv, vals.imag, len(uk))
+    return at, out
+
+
+def _combine(exps, vals, strides):
+    """Array series with the coefficients of equal exponent rows summed;
+    rows are compared by their keys packed with ``strides``, or whole when
+    that is None."""
+    if vals.size < 2:
+        return exps, vals
+    at, out = _sum_equal(exps if strides is None else exps @ strides, vals)
+    return exps[at], out
+
+
+def _stored(exps, vals):
+    """Array series without coefficients of modulus <= STORE_TOL (a NaN
+    is kept)."""
+    keep = ~(np.abs(vals) <= STORE_TOL)
+    return exps[keep], vals[keep]
+
+
+def _mul_arrays(A, B, weights, trunc, strides):
+    """Cauchy product of two array series, truncated at weighted degree
+    trunc, with equal rows summed and stored coefficients only.  Output
+    rows are packed by ``strides`` (from :func:`_strides`), or compared
+    whole when that is None."""
+    expA, valA = A
+    expB, valB = B
+    # B in order of degree: the partners of row i of A are a prefix of it,
+    # up to degree trunc - deg(i)
+    degB = expB @ weights
+    order = np.argsort(degB, kind="stable")
+    expB, valB = expB[order], valB[order]
+    cnt = np.searchsorted(degB[order], trunc - expA @ weights, side="right")
+    ii = np.repeat(np.arange(cnt.size), cnt)
+    jj = np.arange(ii.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     vals = valA[ii] * valB[jj]
-    radix = trunc + 2
-    keys = np.zeros(exps.shape[0], dtype=np.int64)
-    for c in range(nc):
-        keys = keys * radix + exps[:, c]
-    uk, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    out = np.zeros(uk.size, dtype=np.complex128)
-    np.add.at(out, inv, vals)
-    return exps[first], out
+    if strides is None:
+        at, out = _sum_equal(expA[ii] + expB[jj], vals)
+    else:
+        at, out = _sum_equal((expA @ strides)[ii] + (expB @ strides)[jj], vals)
+    return _stored(expA[ii[at]] + expB[jj[at]], out)
 
 
-def _mul_dict(A, B, weights, trunc):
-    """Cauchy product of two termdicts, truncated at weighted degree trunc."""
+def _to_arrays(terms, nslots):
+    """A termdict as an array series."""
+    exps = np.fromiter(
+        chain.from_iterable(terms), dtype=np.int64, count=len(terms) * nslots
+    ).reshape(len(terms), nslots)
+    vals = np.fromiter(terms.values(), dtype=np.complex128, count=len(terms))
+    return exps, vals
+
+
+def _to_dict(exps, vals):
+    """An array series as a termdict."""
+    return dict(zip(map(tuple, exps.tolist()), vals.tolist()))
+
+
+def _mul_dict(A, B, trunc):
+    """Cauchy product of two MixedSeries termdicts, truncated at weighted
+    degree trunc."""
     if not A or not B:
         return {}
     if len(A) * len(B) <= _SMALL_MUL:
+        Bd = [(kb, vb, sum(kb) + kb[-1]) for kb, vb in B.items()]
         out = {}
         for ka, va in A.items():
-            wa = _wdeg(ka, weights)
-            for kb, vb in B.items():
-                if wa + _wdeg(kb, weights) > trunc:
+            room = trunc - sum(ka) - ka[-1]
+            for kb, vb, db in Bd:
+                if db > room:
                     continue
                 k = tuple(x + y for x, y in zip(ka, kb))
                 out[k] = out.get(k, 0.0) + va * vb
         return {k: v for k, v in out.items() if not abs(v) <= STORE_TOL}
-    expA = np.array(list(A.keys()), dtype=np.int64).reshape(len(A), len(weights))
-    valA = np.fromiter(A.values(), dtype=np.complex128, count=len(A))
-    expB = np.array(list(B.keys()), dtype=np.int64).reshape(len(B), len(weights))
-    valB = np.fromiter(B.values(), dtype=np.complex128, count=len(B))
-    warr = np.asarray(weights, dtype=np.int64)
-    exps, vals = _mul_arrays(expA, valA, expB, valB, warr, trunc)
-    out = {}
-    for row, v in zip(exps, vals):
-        if not abs(v) <= STORE_TOL:
-            out[tuple(int(e) for e in row)] = complex(v)
-    return out
+    nslots = len(next(iter(A)))
+    weights = np.ones(nslots, dtype=np.int64)
+    weights[-1] = 2
+    return _to_dict(
+        *_mul_arrays(
+            _to_arrays(A, nslots), _to_arrays(B, nslots), weights, trunc, _strides(weights, trunc)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
-# generic composition engine
+# composition kernel
 #
 # `images` is a list with one entry per input slot:
 #   ("mono", out_exp_tuple, coeff)          -- monomial image (incl. identity)
@@ -122,103 +190,112 @@ def _mul_dict(A, B, weights, trunc):
 # All "series"/"near" termdicts live purely in the *output* space, which makes
 # sequential elimination of the pending slots sound (no images contain a
 # pending slot).
+#
+# The kernel works on array series in a combined space: one column per
+# pending slot that some input term uses, then the output slots.  Phase 1
+# applies the monomial images to all terms at once (an integer matmul of the
+# exponent columns, and powers of the image coefficients); phase 2 removes
+# the pending columns one at a time, by Horner's scheme for a "series" image
+# and by the binomial Taylor expansion around coeff*mono for a "near" image.
+# Slots that no input term uses are never looked at.
 
 
 def _compose_terms(terms, weights_in, images, nslots_out, weights_out, trunc):
-    pend = [i for i, im in enumerate(images) if im[0] != "mono"]
-    pend_pos = {i: p for p, i in enumerate(pend)}
+    if not terms:
+        return {}
+    E, V = _to_arrays(terms, len(weights_in))
+    used = np.flatnonzero(E.any(axis=0)).tolist()
+    mono = [i for i in used if images[i][0] == "mono"]
+    pend = [i for i in used if images[i][0] != "mono"]
     npend = len(pend)
-    comb_weights = tuple(weights_in[i] for i in pend) + tuple(weights_out)
-    ncomb = npend + nslots_out
+    weights = np.array([weights_in[i] for i in pend] + list(weights_out), dtype=np.int64)
+    strides = _strides(weights, trunc)
 
-    # phase 1: apply monomial images, keep pending exponents in front slots
-    cur = {}
-    for exp, c in terms.items():
-        out = [0] * ncomb
-        coeff = c
-        alive = True
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            im = images[i]
-            if im[0] == "mono":
-                mexp, mc = im[1], im[2]
-                if mc == 0:
-                    alive = False
-                    break
-                coeff *= mc**e
-                for c2, me in enumerate(mexp):
-                    if me:
-                        out[npend + c2] += me * e
-            else:
-                out[pend_pos[i]] = e
-        if not alive:
-            continue
-        key = tuple(out)
-        if _wdeg(key, comb_weights) > trunc:
-            continue
-        cur[key] = cur.get(key, 0.0) + coeff
+    # phase 1: apply monomial images, keep pending exponents in front columns
+    X = np.zeros((V.size, npend + nslots_out), dtype=np.int64)
+    X[:, :npend] = E[:, pend]
+    keep = np.ones(V.size, dtype=bool)
+    if mono:
+        Em = E[:, mono]
+        X[:, npend:] = Em @ np.array([images[i][1] for i in mono], dtype=np.int64)
+        for col, i in enumerate(mono):
+            mc = images[i][2]
+            if mc == 0:
+                keep &= Em[:, col] == 0
+            elif mc != 1:
+                V = V * np.power(complex(mc), Em[:, col])
+    keep &= X @ weights <= trunc
+    X, V = _combine(X[keep], V[keep], strides)
 
-    # phase 2: eliminate pending slots one at a time
-    zero_out = (0,) * nslots_out
+    # phase 2: eliminate pending columns one at a time
     for p in range(npend):
-        if not cur:
-            break
+        if V.size == 0:
+            return {}
         im = images[pend[p]]
-        groups: dict[int, dict] = {}
-        for exp, c in cur.items():
-            e = exp[p]
-            rest = exp[:p] + (0,) + exp[p + 1 :]
-            groups.setdefault(e, {})[rest] = c
-        maxe = max(groups)
+        e = X[:, p]
+        maxe = int(e.max())
+        X = X.copy()
+        X[:, p] = 0
         if im[0] == "series":
-            S = {(0,) * npend + k: v for k, v in im[1].items()}
-            R: dict = {}
-            for e in range(maxe, -1, -1):
-                if R:
-                    R = _mul_dict(R, S, comb_weights, trunc)
-                blk = groups.get(e)
-                if blk:
-                    _add_into(R, blk)
-            cur = R
+            S = _lift(im[1], npend, nslots_out)
+            R = X[:0], V[:0]
+            for k in range(maxe, -1, -1):
+                if R[1].size:
+                    R = _mul_arrays(R, S, weights, trunc, strides)
+                sel = e == k
+                if sel.any():
+                    R = _combine(
+                        np.concatenate([R[0], X[sel]]), np.concatenate([R[1], V[sel]]), strides
+                    )
         else:  # "near"
             bexp, bc, delta = im[1], im[2], im[3]
-            D = {(0,) * npend + k: v for k, v in delta.items()}
-            dpow = {(0,) * ncomb: 1.0}
-            R: dict = {}
-            for j in range(0, maxe + 1):
+            D = _lift(delta, npend, nslots_out)
+            shift = np.zeros(X.shape[1], dtype=np.int64)
+            shift[npend:] = bexp
+            binom = np.array(
+                [[math.comb(a, j) for j in range(maxe + 1)] for a in range(maxe + 1)],
+                dtype=np.float64,
+            )
+            bcpow = np.array([bc**a for a in range(maxe + 1)], dtype=np.complex128)
+            dpow = np.zeros((1, X.shape[1]), dtype=np.int64), np.ones(1, dtype=np.complex128)
+            deg, step = X @ weights, int(shift @ weights)
+            parts = []
+            for j in range(maxe + 1):
                 if j > 0:
-                    dpow = _mul_dict(dpow, D, comb_weights, trunc)
-                    if not dpow:
+                    dpow = _mul_arrays(dpow, D, weights, trunc, strides)
+                    if dpow[1].size == 0:
                         break
-                blk = {}
-                for e in range(j, maxe + 1):
-                    A_e = groups.get(e)
-                    if not A_e:
-                        continue
-                    fac = math.comb(e, j) * (bc ** (e - j))
-                    for k, v in A_e.items():
-                        nk = list(k)
-                        for c2, me in enumerate(bexp):
-                            if me:
-                                nk[npend + c2] += me * (e - j)
-                        nk = tuple(nk)
-                        if _wdeg(nk, comb_weights) > trunc:
-                            continue
-                        blk[nk] = blk.get(nk, 0.0) + v * fac
-                if blk:
+                # the term (coeff*mono)^(e-j) D^j of a row, when some term
+                # of D^j leaves it within the truncation
+                ej = e - j
+                sel = np.flatnonzero(
+                    (ej >= 0) & (deg + ej * step + (dpow[0] @ weights).min() <= trunc)
+                )
+                ej = ej[sel]
+                blk = _combine(
+                    X[sel] + ej[:, None] * shift, V[sel] * (binom[e[sel], j] * bcpow[ej]), strides
+                )
+                if blk[1].size:
                     if j > 0:
-                        blk = _mul_dict(blk, dpow, comb_weights, trunc)
-                    _add_into(R, blk)
-            cur = R
+                        blk = _mul_arrays(blk, dpow, weights, trunc, strides)
+                    parts.append(blk)
+            R = _combine(
+                np.concatenate([P[0] for P in parts] or [X[:0]]),
+                np.concatenate([P[1] for P in parts] or [V[:0]]),
+                strides,
+            )
+        X, V = R
 
-    out = {}
-    for exp, c in cur.items():
-        if abs(c) <= STORE_TOL:
-            continue
-        key = exp[npend:]
-        out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if not abs(v) <= STORE_TOL}
+    return _to_dict(*_stored(X[:, npend:], V))
+
+
+def _lift(terms, npend, nslots_out):
+    """A termdict of the output space as an array series in the combined
+    space (zero pending columns)."""
+    exps, vals = _to_arrays(terms, nslots_out)
+    out = np.zeros((vals.size, npend + nslots_out), dtype=np.int64)
+    out[:, npend:] = exps
+    return out, vals
 
 
 def _as_image(img, base_exp, nslots_out):
@@ -244,7 +321,7 @@ class MixedSeries:
         if coeffs is None:
             coeffs = {}
         if not _normalized:
-            coeffs = _clean(coeffs, self.weights, trunc)
+            coeffs = _clean(coeffs, trunc)
         self.coeffs = coeffs
 
     # -- construction -------------------------------------------------
@@ -305,8 +382,7 @@ class MixedSeries:
         return math.nan if math.isnan(sum(a)) else max(a, default=0.0)
 
     def min_wdeg(self):
-        w = self.weights
-        return min((_wdeg(k, w) for k in self.coeffs), default=None)
+        return min((sum(k) + k[-1] for k in self.coeffs), default=None)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -346,7 +422,7 @@ class MixedSeries:
                 {k: v * other for k, v in self.coeffs.items()},
             )
         t = self._check(other)
-        out = _mul_dict(self.coeffs, other.coeffs, self.weights, t)
+        out = _mul_dict(self.coeffs, other.coeffs, t)
         return MixedSeries(self.n, t, out, _normalized=True)
 
     __rmul__ = __mul__
@@ -402,15 +478,13 @@ class MixedSeries:
     # -- grading -------------------------------------------------------
 
     def weighted_component(self, nu):
-        w = self.weights
-        out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) == nu}
+        out = {k: v for k, v in self.coeffs.items() if sum(k) + k[-1] == nu}
         return MixedSeries(self.n, self.trunc, out, _normalized=True)
 
     def weighted_decompose(self):
-        w = self.weights
         parts = {}
         for k, v in self.coeffs.items():
-            parts.setdefault(_wdeg(k, w), {})[k] = v
+            parts.setdefault(sum(k) + k[-1], {})[k] = v
         return {
             nu: MixedSeries(self.n, self.trunc, t, _normalized=True)
             for nu, t in sorted(parts.items())
@@ -427,8 +501,7 @@ class MixedSeries:
         }
 
     def truncate(self, new_trunc):
-        w = self.weights
-        out = {k: v for k, v in self.coeffs.items() if _wdeg(k, w) <= new_trunc}
+        out = {k: v for k, v in self.coeffs.items() if sum(k) + k[-1] <= new_trunc}
         return MixedSeries(self.n, new_trunc, out, _normalized=True)
 
     # -- reality -------------------------------------------------------
@@ -514,11 +587,10 @@ class MixedSeries:
 
     def sorted_terms(self):
         n = self.n
-        w = self.weights
 
         def keyf(item):
             k, _ = item
-            return (_wdeg(k, w), k[:n], k[n : 2 * n], k[2 * n])
+            return (sum(k) + k[-1], k[:n], k[n : 2 * n], k[2 * n])
 
         return sorted(self.coeffs.items(), key=keyf)
 

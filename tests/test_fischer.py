@@ -30,7 +30,10 @@ class TestMons:
     def test_lex_sorted_and_total_degree(self):
         ms = mons(3, 2)
         assert all(sum(a) == 2 for a in ms)
-        assert ms == sorted(ms, reverse=True) or ms == sorted(ms)
+        assert list(ms) == sorted(ms, reverse=True) or list(ms) == sorted(ms)
+
+    def test_cached_result_is_immutable(self):
+        assert isinstance(mons(3, 4), tuple) and mons(3, 4) is mons(3, 4)
 
 
 class TestFischer:

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crnf.series import (
     DEFAULT_TOL,
+    STORE_TOL,
     MixedSeries,
     NormalFormError,
     _SMALL_MUL,
+    _compose_terms,
+    _strides,
     complex_to_graph,
     fixed_point,
     graph_to_complex,
@@ -230,6 +235,18 @@ class TestNonFinite:
         assert np.isnan((g * (g * f)).norm())
         assert np.isnan(f.subs(z=[z(2, 6, 1) + s(2, 6), None]).norm())
 
+    def test_nan_survives_the_kernel_and_the_reference(self):
+        n, trunc = 2, 6
+        nslots = 2 * n + 1
+        weights = (1,) * (2 * n) + (2,)
+        rng = np.random.default_rng(3)
+        terms = {(1, 0, 0, 1, 0): complex("nan"), (2, 0, 0, 0, 1): 1.0}
+        for kinds in (("series",) * nslots, ("near",) * nslots, ("identity",) * nslots):
+            images = [_random_image(k, i, n, trunc, rng) for i, k in enumerate(kinds)]
+            for compose in (_compose_terms, _compose_terms_ref):
+                out = compose(terms, weights, images, nslots, weights, trunc)
+                assert any(np.isnan(abs(v)) for v in out.values()), (kinds[0], compose.__name__)
+
 
 class TestPower:
     def test_power_by_squaring_matches_repeated_products(self):
@@ -281,3 +298,211 @@ def test_add_commutes_and_conj_involution(terms):
     assert ((f + g) - (g + f)).norm() == 0.0
     assert (f.conj().conj() - f).norm() == 0.0
     assert ((f * g).conj() - f.conj() * g.conj()).norm() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The dict composition engine that the array kernel replaced, kept as the
+# reference: it walks the terms one at a time, with exponent tuples as keys.
+
+
+def _wdeg(exp, weights):
+    return sum(w * e for w, e in zip(weights, exp))
+
+
+def _add_into(acc, terms):
+    for k, v in terms.items():
+        acc[k] = acc.get(k, 0.0) + v
+
+
+def _mul_dict_ref(A, B, weights, trunc):
+    out = {}
+    for ka, va in A.items():
+        wa = _wdeg(ka, weights)
+        for kb, vb in B.items():
+            if wa + _wdeg(kb, weights) > trunc:
+                continue
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0.0) + va * vb
+    return {k: v for k, v in out.items() if not abs(v) <= STORE_TOL}
+
+
+def _compose_terms_ref(terms, weights_in, images, nslots_out, weights_out, trunc):
+    pend = [i for i, im in enumerate(images) if im[0] != "mono"]
+    pend_pos = {i: p for p, i in enumerate(pend)}
+    npend = len(pend)
+    comb_weights = tuple(weights_in[i] for i in pend) + tuple(weights_out)
+    ncomb = npend + nslots_out
+
+    # phase 1: apply monomial images, keep pending exponents in front slots
+    cur = {}
+    for exp, c in terms.items():
+        out = [0] * ncomb
+        coeff = c
+        alive = True
+        for i, e in enumerate(exp):
+            if e == 0:
+                continue
+            im = images[i]
+            if im[0] == "mono":
+                mexp, mc = im[1], im[2]
+                if mc == 0:
+                    alive = False
+                    break
+                coeff *= mc**e
+                for c2, me in enumerate(mexp):
+                    if me:
+                        out[npend + c2] += me * e
+            else:
+                out[pend_pos[i]] = e
+        if not alive:
+            continue
+        key = tuple(out)
+        if _wdeg(key, comb_weights) > trunc:
+            continue
+        cur[key] = cur.get(key, 0.0) + coeff
+
+    # phase 2: eliminate pending slots one at a time
+    for p in range(npend):
+        if not cur:
+            break
+        im = images[pend[p]]
+        groups = {}
+        for exp, c in cur.items():
+            e = exp[p]
+            rest = exp[:p] + (0,) + exp[p + 1 :]
+            groups.setdefault(e, {})[rest] = c
+        maxe = max(groups)
+        if im[0] == "series":
+            S = {(0,) * npend + k: v for k, v in im[1].items()}
+            R = {}
+            for e in range(maxe, -1, -1):
+                if R:
+                    R = _mul_dict_ref(R, S, comb_weights, trunc)
+                blk = groups.get(e)
+                if blk:
+                    _add_into(R, blk)
+            cur = R
+        else:  # "near"
+            bexp, bc, delta = im[1], im[2], im[3]
+            D = {(0,) * npend + k: v for k, v in delta.items()}
+            dpow = {(0,) * ncomb: 1.0}
+            R = {}
+            for j in range(0, maxe + 1):
+                if j > 0:
+                    dpow = _mul_dict_ref(dpow, D, comb_weights, trunc)
+                    if not dpow:
+                        break
+                blk = {}
+                for e in range(j, maxe + 1):
+                    A_e = groups.get(e)
+                    if not A_e:
+                        continue
+                    fac = math.comb(e, j) * (bc ** (e - j))
+                    for k, v in A_e.items():
+                        nk = list(k)
+                        for c2, me in enumerate(bexp):
+                            if me:
+                                nk[npend + c2] += me * (e - j)
+                        nk = tuple(nk)
+                        if _wdeg(nk, comb_weights) > trunc:
+                            continue
+                        blk[nk] = blk.get(nk, 0.0) + v * fac
+                if blk:
+                    if j > 0:
+                        blk = _mul_dict_ref(blk, dpow, comb_weights, trunc)
+                    _add_into(R, blk)
+            cur = R
+
+    out = {}
+    for exp, c in cur.items():
+        if abs(c) <= STORE_TOL:
+            continue
+        key = exp[npend:]
+        out[key] = out.get(key, 0.0) + c
+    return {k: v for k, v in out.items() if not abs(v) <= STORE_TOL}
+
+
+def _random_terms(rng, n, trunc, count, min_deg=0, max_exp=3):
+    """A sparse termdict of a MixedSeries in n variables."""
+    out = {}
+    for _ in range(count):
+        k = tuple(int(x) for x in rng.integers(0, max_exp + 1, 2 * n + 1))
+        if min_deg <= sum(k) + k[-1] <= trunc:
+            out[k] = complex(rng.normal(), rng.normal())
+    return out
+
+
+def _random_image(kind, slot, n, trunc, rng):
+    """An image of the composition kernel for input slot ``slot``."""
+    unit = tuple(int(i == slot) for i in range(2 * n + 1))
+    if kind == "identity":
+        return ("mono", unit, 1.0)
+    if kind in ("mono", "mono0"):
+        exp = (0,)
+        while not 1 <= sum(exp) + exp[-1] <= 2:
+            exp = tuple(int(x) for x in rng.integers(0, 2, 2 * n + 1))
+        return ("mono", exp, 0.0 if kind == "mono0" else complex(rng.normal(), rng.normal()))
+    if kind == "series":
+        return ("series", _random_terms(rng, n, trunc, 4, min_deg=1) or {unit: 1.0})
+    if kind == "near":
+        return ("near", unit, complex(rng.normal(), rng.normal()), _random_terms(rng, n, trunc, 4, min_deg=2))
+    # allow_const: a constant term in a "series" or a "near" image
+    terms = _random_terms(rng, n, trunc, 3, min_deg=1)
+    terms[(0,) * (2 * n + 1)] = complex(rng.normal(), rng.normal())
+    if kind == "const_series":
+        return ("series", terms)
+    return ("near", unit, complex(rng.normal(), rng.normal()), terms)
+
+
+def _assert_close_to_reference(terms, weights, images, nslots_out, trunc):
+    got = _compose_terms(terms, weights, images, nslots_out, weights, trunc)
+    ref = _compose_terms_ref(terms, weights, images, nslots_out, weights, trunc)
+    scale = max(map(abs, list(got.values()) + list(ref.values())), default=0.0)
+    for k in set(got) | set(ref):
+        assert abs(got.get(k, 0.0) - ref.get(k, 0.0)) <= 1e-13 * scale, k
+    return got
+
+
+_KINDS = ("identity", "mono", "mono0", "series", "near", "const_series", "const_near")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 7),
+    st.lists(st.sampled_from(_KINDS), min_size=7, max_size=7),
+    st.integers(0, 2**32 - 1),
+)
+def test_array_kernel_matches_dict_reference(n, trunc, kinds, seed):
+    rng = np.random.default_rng(seed)
+    nslots = 2 * n + 1
+    weights = (1,) * (2 * n) + (2,)
+    terms = _random_terms(rng, n, trunc, 12)
+    images = [_random_image(kinds[i], i, n, trunc, rng) for i in range(nslots)]
+    _assert_close_to_reference(terms, weights, images, nslots, trunc)
+
+
+def test_packed_keys_fall_back_to_whole_rows_when_they_overflow():
+    # series images in all 11 slots of n = 5 give 22 columns; at trunc 8
+    # their radices multiply to 9**20 * 5**2 > 2**63 - 1
+    n, trunc = 5, 8
+    weights = (1,) * (2 * n) + (2,)
+    assert _strides(weights + weights, trunc) is None
+    assert _strides(weights[1:] + weights, trunc) is None
+    assert _strides(weights, trunc) is not None
+    rng = np.random.default_rng(7)
+    nslots = 2 * n + 1
+    unit = np.eye(nslots, dtype=int)
+
+    def mono(*slots):
+        return tuple(int(e) for e in sum(unit[list(slots)]))
+
+    terms = {mono(i): 1.0 for i in range(nslots)}  # every slot in use
+    for _ in range(12):
+        terms[mono(*rng.integers(0, nslots, 3))] = complex(rng.normal(), rng.normal())
+    images = []
+    for i in range(nslots):
+        j, k = rng.integers(0, nslots - 1, 2)
+        images.append(("series", {mono(i): 1.0, mono(j): rng.normal(), mono(j, k): rng.normal()}))
+    got = _assert_close_to_reference(terms, weights, images, nslots, trunc)
+    assert len(got) > 200

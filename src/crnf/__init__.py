@@ -12,6 +12,7 @@ from .hypersurfaces import (
     hermitian_quadric,
     model_D,
     model_hypersurface,
+    model_phi,
     p_R_poly,
     sphere,
 )
@@ -48,7 +49,6 @@ from .full_nf import (
     check_G0,
     detect_model,
     factor_map,
-    model_phi,
     normal_form,
     solve_L,
     validate_P,

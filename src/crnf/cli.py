@@ -201,12 +201,8 @@ def _cmd_takagi(args):
         )
     except (TypeError, ValueError) as e:
         raise InputError(f"invalid matrix entries: {e}") from e
-    if E.ndim != 2 or E.shape[0] != E.shape[1]:
-        raise InputError("matrix must be square")
-    if np.max(np.abs(E - E.T), initial=0.0) > args.tol * (
-        1 + np.max(np.abs(E), initial=0.0)
-    ):
-        raise InputError("matrix must be symmetric")
+    if not np.isfinite(E).all():
+        raise InputError("matrix entries must be finite")
     res = takagi(E, args.tol)
     payload = {
         "lambda": [float(x) for x in res.lam],
@@ -248,26 +244,29 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--trunc", type=int, default=8)
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--json", action="store_true")
+
+    def hypersurface_input(sp):
+        sp.add_argument("--trunc", type=int, default=8)
+        common(sp)
 
     sp = sub.add_parser("invariants", help="nondegeneracy order and tensors")
     sp.add_argument("input")
     sp.add_argument("--kmax", type=int, default=3)
-    common(sp)
+    hypersurface_input(sp)
     sp.set_defaults(fn=_cmd_invariants)
 
     sp = sub.add_parser("partial-nf", help="third-order normalization")
     sp.add_argument("input")
-    common(sp)
+    hypersurface_input(sp)
     sp.set_defaults(fn=_cmd_partial_nf)
 
     sp = sub.add_parser("normal-form", help="complete formal normal form")
     sp.add_argument("input")
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--normalization", default=None, metavar="FILE")
-    common(sp)
+    hypersurface_input(sp)
     sp.set_defaults(fn=_cmd_normal_form)
 
     sp = sub.add_parser("equiv", help="equivalence test at fixed normalizations")
@@ -276,7 +275,7 @@ def _build_parser():
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--normalization", default=None, metavar="FILE")
     sp.add_argument("--normalization2", default=None, metavar="FILE")
-    common(sp)
+    hypersurface_input(sp)
     sp.set_defaults(fn=_cmd_equiv)
 
     sp = sub.add_parser("takagi", help="symmetric-matrix factorization")

@@ -210,14 +210,13 @@ def _random_stabilizer(r, R, rng, scale):
     return math.exp(a @ taus), scipy.linalg.expm(np.tensordot(a, Xs, 1))
 
 
-def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL):
+def random_allowed_map(r, R, seed, scale=0.05, trunc=8, tol=DEFAULT_TOL):
     """Deterministic random transformation preserving the third-order model
     with signature r and cubic matrix R: returns (Phi, P) with Phi = T o P,
     P the normalization parameters (validate_P holds) and T a random
     higher-order gauge map. scale = 0 gives the identity."""
     R = np.asarray(R, dtype=complex)
-    if n is None:
-        n = R.shape[0] + 1
+    n = R.shape[0] + 1
     rng = np.random.default_rng(seed)
     P = NormalizationP.identity(n)
     if scale > 0:
@@ -236,8 +235,6 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
         return FormalMap.identity(n, trunc), P
     # random gauge part: three proposed monomials per component, each kept
     # if it is a gauge unknown at its weighted degree
-    # a term of weighted degree <= trunc has nu <= trunc + 2 (_degree)
-    table = _gauge_table(n, range(trunc + 3))
     ident = FormalMap.identity(n, trunc)
     comps = ident.fs + [ident.g]
     zero = (0,) * n
@@ -247,7 +244,7 @@ def random_allowed_map(r, R, seed, scale=0.05, n=None, trunc=8, tol=DEFAULT_TOL)
             d = int(rng.integers(0, trunc - 2 * j + 1))
             a = tuple(rng.multinomial(d, [1.0 / n] * n))
             key = a + zero + (j,)
-            parts = table[_degree(slot, key)].get((slot, comp, key))
+            parts = _gauge_table(n, _degree(slot, key)).get((slot, comp, key))
             if parts is None:
                 continue
             coeff = scale * (rng.normal() + 1j * rng.normal())

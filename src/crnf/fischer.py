@@ -2,10 +2,12 @@
 
 For a polynomial ``p`` of type (a,b) in (z, zbar), the adjoint operator
 ``pbar(grad, gradbar)`` replaces each monomial ``c * z^a zbar^b`` of p by
-``conj(c) * d^a/dz^a d^b/dzbar^b``.  The classical decomposition writes
-any F of type (k,l) uniquely as ``F = p*G + H`` with
-``pbar(grad,gradbar) H = 0``; the two-polynomial variant adds a second
-factor with an image side condition.
+``conj(c) * d^a/dz^a d^b/dzbar^b``, applied in closed form on exponents
+(falling factorials; apply_pbar, pbar_matrix).  The classical
+decomposition writes any F of type (k,l) uniquely as ``F = p*G + H``
+with ``pbar(grad,gradbar) H = 0``; the two-polynomial variant adds a
+second factor with an image side condition.  The remainder clauses of
+normal_space are kernels of such operators.
 
 Everything here is computed on finite coefficient slices: an s-power is
 inert for these operators, so mixed inputs are processed slice by slice.
@@ -46,23 +48,49 @@ def series_of(vec, basis, n, trunc):
     return MixedSeries(n, trunc, coeffs)
 
 
-def apply_pbar(p: MixedSeries, F: MixedSeries) -> MixedSeries:
-    """Apply pbar(grad, gradbar) to F."""
-    n = F.n
-    out = MixedSeries.zero(n, F.trunc)
+def _falling(x, k):
+    """prod_i x_i! / (x_i - k_i)! for each row x of the exponent array x,
+    k <= x; in floating point, exact up to 2**53."""
+    out = np.ones(len(x))
+    for t in range(int(k.max(initial=0))):
+        out *= np.where(t < k, x - t, 1).prod(axis=1)
+    return out
+
+
+def _pbar_images(p: MixedSeries, keys):
+    """pbar(grad, gradbar) on the monomials ``keys``, term by term of p in
+    closed form: c z^a zbar^b takes z^alpha zbar^beta s^m to
+    conj(c) alpha!/(alpha - a)! beta!/(beta - b)! z^(alpha - a)
+    zbar^(beta - b) s^m.  Yields (i, E, w) per term: the monomials keys[i]
+    it does not annihilate, their images (rows of E) and the factors w."""
+    E = np.array(keys, dtype=np.int64).reshape(len(keys), 2 * p.n + 1)
     for a, b, m, c in p.terms():
         if m:
             raise ValueError("operator polynomial cannot depend on s")
-        term = F
-        for i in range(n):
-            for _ in range(a[i]):
-                term = term.diff("z", i + 1)
-            for _ in range(b[i]):
-                term = term.diff("zb", i + 1)
-        out = out + term * c.conjugate()
-    # restore trunc bookkeeping: derivatives reduced it, but the result is
-    # exact for a homogeneous slice
-    return MixedSeries(n, F.trunc, out.coeffs)
+        ab = np.array(a + b + (0,))
+        i = np.flatnonzero((E >= ab).all(axis=1))
+        yield i, E[i] - ab, np.conj(c) * _falling(E[i], ab)
+
+
+def apply_pbar(p: MixedSeries, F: MixedSeries) -> MixedSeries:
+    """Apply pbar(grad, gradbar) to F; s-powers of F are inert."""
+    keys = list(F.coeffs)
+    vals = np.array([F.coeffs[k] for k in keys], dtype=complex)
+    out = {}
+    for i, E, w in _pbar_images(p, keys):
+        for key, v in zip(map(tuple, E.tolist()), w * vals[i]):
+            out[key] = out.get(key, 0.0) + v
+    return MixedSeries(F.n, F.trunc, out)
+
+
+def pbar_matrix(p: MixedSeries, src, dst):
+    """Matrix of pbar(grad, gradbar) from the monomial slice src to the
+    slice dst that holds its image."""
+    index = {key: i for i, key in enumerate(dst)}
+    M = np.zeros((len(dst), len(src)), dtype=complex)
+    for j, E, w in _pbar_images(p, src):
+        M[[index[key] for key in map(tuple, E.tolist())], j] += w
+    return M
 
 
 def _single_type(F: MixedSeries):
@@ -93,7 +121,7 @@ def op_matrix(op, src_basis, dst_basis, n, trunc):
     return cols
 
 
-def fischer_decompose(F: MixedSeries, p: MixedSeries, tol=DEFAULT_TOL):
+def fischer_decompose(F: MixedSeries, p: MixedSeries):
     """F = p*G + H with pbar(grad,gradbar) H = 0; unique.
 
     F must be homogeneous of a single type (k,l); s-powers are allowed
@@ -114,7 +142,7 @@ def fischer_decompose(F: MixedSeries, p: MixedSeries, tol=DEFAULT_TOL):
         bas_F = type_basis(n, k, l, m)
         bas_G = type_basis(n, k - a, l - b, m)
         Mp = op_matrix(lambda e: p * e, bas_G, bas_F, n, F.trunc)
-        Md = op_matrix(lambda e: apply_pbar(p, e), bas_F, bas_G, n, F.trunc)
+        Md = pbar_matrix(p, bas_F, bas_G)
         A = Md @ Mp  # square, positive definite in the Fischer metric
         rhs = Md @ vec_of(Fm, bas_F)
         g = np.linalg.solve(A, rhs)
@@ -149,8 +177,8 @@ def fischer_decompose2(F: MixedSeries, p: MixedSeries, q: MixedSeries, tol=DEFAU
         dF, d1, d2 = len(bas_F), len(bas_1), len(bas_2)
         Mp = op_matrix(lambda e: p * e, bas_1, bas_F, n, F.trunc)
         Mq = op_matrix(lambda e: q * e, bas_2, bas_F, n, F.trunc)
-        Dq = op_matrix(lambda e: apply_pbar(q, e), bas_F, bas_2, n, F.trunc)
-        Dp = op_matrix(lambda e: apply_pbar(p, e), bas_F, bas_1, n, F.trunc)
+        Dq = pbar_matrix(q, bas_F, bas_2)
+        Dp = pbar_matrix(p, bas_F, bas_1)
         # S: u (same slice as G1 source after q-multiplication) -> bas_1
         bas_u = type_basis(n, k - pa - qa, l - pb - qb, m) if (k >= pa + qa and l >= pb + qb) else []
         if bas_u:

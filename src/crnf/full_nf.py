@@ -34,18 +34,16 @@ self-correcting.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, NormalFormError
 from .fischer import mons
-from .hypersurfaces import (
-    Hypersurface,
-    hermitian_quadric,
-    p_R_poly,
-)
+from .hypersurfaces import Hypersurface, hermitian_quadric, model_phi, p_R_poly
 from .linalg import nullspace
 from .maps import FormalMap, apply_map
 from .partial_nf import levi_matrix_of, partial_nf
@@ -72,7 +70,6 @@ __all__ = [
     "solve_L",
     "normal_form",
     "factor_map",
-    "model_phi",
     "detect_model",
     "to_model_form",
 ]
@@ -272,19 +269,14 @@ def check_G0(T: FormalMap, tol=DEFAULT_TOL):
     unknown is imaginary only."""
     n = T.n
     ident = FormalMap.identity(n, T.trunc)
-    terms = [
-        (slot, comp, key, v)
-        for (slot, comp), f, f0 in zip(_slots(n), T.fs + [T.g], ident.fs + [ident.g])
-        for key, v in (f - f0).coeffs.items()
-    ]
-    table = _gauge_table(n, {_degree(slot, key) for slot, _, key, _ in terms})
-    for slot, comp, key, v in terms:
-        unknowns = table[_degree(slot, key)]
-        parts = unknowns.get((slot, comp, key))
-        if not unknowns or (parts is None and abs(v) > tol):
-            return False
-        if parts == "y" and abs(v.real) > tol:
-            return False
+    for (slot, comp), f, f0 in zip(_slots(n), T.fs + [T.g], ident.fs + [ident.g]):
+        for key, v in (f - f0).coeffs.items():
+            unknowns = _gauge_table(n, _degree(slot, key))
+            parts = unknowns.get((slot, comp, key))
+            if not unknowns or (parts is None and abs(v) > tol):
+                return False
+            if parts == "y" and abs(v.real) > tol:
+                return False
     return True
 
 
@@ -351,14 +343,15 @@ def _unknown_monomials(n, nu):
     return out
 
 
-def _gauge_table(n, degrees):
-    """{nu: {(slot, comp, series key): parts}}: the unknowns of
-    _unknown_monomials at each weighted degree nu in degrees."""
+@functools.cache
+def _gauge_table(n, nu):
+    """{(slot, comp, series key): parts} over the unknowns of
+    _unknown_monomials at weighted degree nu.  Cached: the result is a
+    read-only mapping."""
     zero = (0,) * n
-    return {
-        nu: {(slot, comp, a + zero + (j,)): parts for slot, comp, a, j, parts in _unknown_monomials(n, nu)}
-        for nu in degrees
-    }
+    return types.MappingProxyType(
+        {(slot, comp, a + zero + (j,)): parts for slot, comp, a, j, parts in _unknown_monomials(n, nu)}
+    )
 
 
 def _factor(A, nu):
@@ -597,13 +590,6 @@ def solve_L(F_nu: MixedSeries, r, R, tol=DEFAULT_TOL) -> GradedSolution:
 
 # ---------------------------------------------------------------------------
 # model detection and the degree loop
-
-
-def model_phi(n, trunc, r, R):
-    """<z',zbar'>_{r,s} + 2 Re(zbar^n p_R(z))."""
-    zbn = MixedSeries.variable(n, trunc, "zb", n)
-    mixed = zbn * p_R_poly(n, trunc, R)
-    return hermitian_quadric(n, trunc, r=r, s=n - 1 - r) + mixed + mixed.conj()
 
 
 def detect_model(M: Hypersurface, tol=DEFAULT_TOL):

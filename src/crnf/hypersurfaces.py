@@ -20,25 +20,24 @@ class Hypersurface:
 
     __slots__ = ("n", "trunc", "phi")
 
-    def __init__(self, phi: MixedSeries, tol=DEFAULT_TOL, check=True):
-        if check:
-            if not phi.is_real(tol):
-                raise ValueError("phi must be a real series")
-            if abs(phi.coeff((0,) * phi.n, (0,) * phi.n, 0)) > tol:
-                raise ValueError("phi must vanish at 0")
-            md = phi.min_wdeg()
-            if md is not None:
-                # no ordinary-linear part: z, zbar or s alone
-                zero = (0,) * phi.n
-                for i in range(phi.n):
-                    e = [0] * phi.n
-                    e[i] = 1
-                    if abs(phi.coeff(tuple(e), zero, 0)) > tol or abs(
-                        phi.coeff(zero, tuple(e), 0)
-                    ) > tol:
-                        raise ValueError("phi must have vanishing differential at 0")
-                if abs(phi.coeff(zero, zero, 1)) > tol:
+    def __init__(self, phi: MixedSeries, tol=DEFAULT_TOL):
+        if not phi.is_real(tol):
+            raise ValueError("phi must be a real series")
+        if abs(phi.coeff((0,) * phi.n, (0,) * phi.n, 0)) > tol:
+            raise ValueError("phi must vanish at 0")
+        md = phi.min_wdeg()
+        if md is not None:
+            # no ordinary-linear part: z, zbar or s alone
+            zero = (0,) * phi.n
+            for i in range(phi.n):
+                e = [0] * phi.n
+                e[i] = 1
+                if abs(phi.coeff(tuple(e), zero, 0)) > tol or abs(
+                    phi.coeff(zero, tuple(e), 0)
+                ) > tol:
                     raise ValueError("phi must have vanishing differential at 0")
+            if abs(phi.coeff(zero, zero, 1)) > tol:
+                raise ValueError("phi must have vanishing differential at 0")
         self.n = phi.n
         self.trunc = phi.trunc
         self.phi = phi.realified()
@@ -70,7 +69,7 @@ class GenericSubmanifold:
 
     __slots__ = ("N", "d", "trunc", "rho")
 
-    def __init__(self, rho, tol=DEFAULT_TOL, check=True):
+    def __init__(self, rho, tol=DEFAULT_TOL):
         rho = list(rho)
         if not rho:
             raise ValueError("need at least one defining series")
@@ -80,27 +79,26 @@ class GenericSubmanifold:
         self.d = d
         self.trunc = min(r.trunc for r in rho)
         self.rho = rho
-        if check:
-            zero = (0,) * N
-            for r in rho:
-                if r.n != N:
-                    raise ValueError("defining series live in different spaces")
-                if not r.is_real(tol):
-                    raise ValueError("defining series must be real")
-                if abs(r.coeff(zero, zero, 0)) > tol:
-                    raise ValueError("defining series must vanish at 0")
-                if any(key[2 * N] for key in r.coeffs):
-                    raise ValueError("ambient series cannot use the s slot")
-            J = self.jacobian0()
-            sv = np.linalg.svd(J, compute_uv=False) if J.size else np.zeros(0)
-            if len(sv) < d or sv[min(d - 1, len(sv) - 1)] <= tol:
-                raise ValueError("defining equations are degenerate at 0")
-            W = self.dbar_block0()
-            if abs(np.linalg.det(W)) <= tol:
-                raise ValueError(
-                    "last-d block of d(rho)/d(Zbar) is singular at 0; "
-                    "coordinates are not admissible"
-                )
+        zero = (0,) * N
+        for r in rho:
+            if r.n != N:
+                raise ValueError("defining series live in different spaces")
+            if not r.is_real(tol):
+                raise ValueError("defining series must be real")
+            if abs(r.coeff(zero, zero, 0)) > tol:
+                raise ValueError("defining series must vanish at 0")
+            if any(key[2 * N] for key in r.coeffs):
+                raise ValueError("ambient series cannot use the s slot")
+        J = self.jacobian0()
+        sv = np.linalg.svd(J, compute_uv=False) if J.size else np.zeros(0)
+        if len(sv) < d or sv[min(d - 1, len(sv) - 1)] <= tol:
+            raise ValueError("defining equations are degenerate at 0")
+        W = self.dbar_block0()
+        if abs(np.linalg.det(W)) <= tol:
+            raise ValueError(
+                "last-d block of d(rho)/d(Zbar) is singular at 0; "
+                "coordinates are not admissible"
+            )
 
     @property
     def n(self):
@@ -196,13 +194,16 @@ def p_R_poly(n, trunc, R):
     return out
 
 
+def model_phi(n, trunc, r, R):
+    """<z',zbar'>_{r,s} + 2 Re(zbar^n p_R(z)) with r + s = n - 1."""
+    zbn = MixedSeries.variable(n, trunc, "zb", n)
+    mixed = zbn * p_R_poly(n, trunc, R)
+    return hermitian_quadric(n, trunc, r=r, s=n - 1 - r) + mixed + mixed.conj()
+
+
 def model_hypersurface(n, trunc, R, s=0):
-    """im w = <z',zbar'>_{r,s} + 2 Re(zbar^n p_R(z)) with r + s = n - 1."""
-    _, zb = _zvars(n, trunc)
-    pr = p_R_poly(n, trunc, R)
-    mixed = zb[n - 1] * pr
-    phi = hermitian_quadric(n, trunc, r=n - 1 - s, s=s) + mixed + mixed.conj()
-    return Hypersurface(phi)
+    """im w = model_phi(n, trunc, r, R) with r = n - 1 - s."""
+    return Hypersurface(model_phi(n, trunc, n - 1 - s, R))
 
 
 def model_D(n, trunc, lam):

@@ -1,7 +1,7 @@
 """Dense complex linear algebra helpers.
 
 Takagi factorization of complex symmetric matrices, Hermitian
-eigendecomposition with deterministic ordering, tolerance-aware rank and
+eigendecomposition with deterministic ordering, tolerance-aware
 nullspace, and membership tests for the matrix groups used by the
 normal-form modules.
 """
@@ -105,14 +105,6 @@ def is_OR(B, R, tol=DEFAULT_TOL):
     B = np.asarray(B, dtype=complex)
     R = np.asarray(R, dtype=complex)
     return bool(np.max(np.abs(B.T @ R @ B - R), initial=0.0) <= tol * (1 + np.max(np.abs(R), initial=0.0)))
-
-
-def rank_tol(A, tol=DEFAULT_TOL):
-    A = np.asarray(A, dtype=complex)
-    if A.size == 0:
-        return 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv > tol * (sv[0] + 1)))
 
 
 def nullspace(A, tol=DEFAULT_TOL):

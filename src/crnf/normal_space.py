@@ -7,25 +7,29 @@ A hypersurface at a generic Levi degeneracy can be written
 with F real and of weighted order >= 4.  The normalization procedure
 removes everything from F except a remainder N lying in a prescribed
 graded subspace, defined type by type ((k,l) = bidegree in (z, zbar),
-s-powers handled slice by slice):
+s-powers handled slice by slice).  With Q = <z',zbar'>_{r,s} and
+pbar = pbar(grad, gradbar) the Fischer adjoint of a polynomial p
+(fischer.apply_pbar), so that D = Qbar = sum_j eps_j d_j dbar_j:
 
   * no (k,0) or (0,l) components at all;
-  * N_11 in ker D,            D = <grad', gradbar'> = sum_j eps_j d_j dbar_j;
+  * N_11 in ker D;
   * N_k1 = zbar^n H_k0 (k = 2 or k >= 4) with H_k0 independent of z^n;
-  * N_31 in ker qbar(grad,gradbar) with q = <z',zbar'> p_R  (the Fischer
-    complement of the line spanned by <z',zbar'> p_R);
-  * N_22 = <z',zbar'> z^n zbar^n H_00 + H_22,  H_22 in ker D;
-  * N_32 = <z',zbar'>^2 z^n H_00 + <z',zbar'> H_21 + H_32,
-    H_21 in ker D (type (2,1)), H_32 in ker D;
-  * N_42 = <z',zbar'> zbar^n H_30 + H_42, H_30 independent of z^n,
-    H_42 in ker D;
-  * N_33 = <z',zbar'>^2 (z^n H_01 + conj) + H_33,  H_33 in ker D^2;
+  * N_31 in ker (Q p_R)bar (the Fischer complement of the line spanned
+    by Q p_R);
+  * N_22 = H_22 + Q z^n zbar^n H_00,  H_22 in ker D;
+  * N_32 = Q^2 z^n H_00 + Q H_21 + H_32,  H_21 (type (2,1)) and H_32
+    in ker D;
+  * N_42 = Q zbar^n H_30 + H_42,  H_30 independent of z^n, H_42 in ker D;
+  * N_33 = H_33 + Q^2 z^n H_01 + Q^2 zbar^n H_10,  H_33 in ker D^2;
   * every other type is unconstrained.
 
-These clauses were validated computationally: together with the
-second-order-jet gauge conditions on the transformation they make the
-degree-by-degree normalization system square and invertible (see
-full_nf).
+Each clause is a sum of parts of two kinds: a Fischer kernel ker pbar on
+the slice, and a product span q H over the monomials of the
+complementary type (all of them, those free of z^n, or a Fischer kernel
+on that slice).  _TABLE holds them, one entry per clause.  These clauses
+were validated computationally: together with the second-order-jet
+gauge conditions on the transformation they make the degree-by-degree
+normalization system square and invertible (see full_nf).
 
 All constructions are finite-dimensional linear algebra on coefficient
 slices.  Real bases are kept in "stacked" coordinates (Re parts then Im
@@ -37,11 +41,14 @@ slice.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
-from .fischer import mons, op_matrix, type_basis
-from .hypersurfaces import p_R_poly
+from .fischer import apply_pbar, op_matrix, pbar_matrix, type_basis
+from .hypersurfaces import hermitian_quadric, p_R_poly
+from .linalg import nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +61,9 @@ def eps_signs(n, r):
 
 
 def bilinear_laplacian(F: MixedSeries, r) -> MixedSeries:
-    """<grad', gradbar'> F = sum_{j<n} eps_j d^2 F / dz^j dzbar^j."""
-    n = F.n
-    out = MixedSeries.zero(n, F.trunc)
-    for j, e in enumerate(eps_signs(n, r)):
-        out = out + F.diff("z", j + 1).diff("zb", j + 1) * e
-    return MixedSeries(n, F.trunc, out.coeffs)
+    """<grad', gradbar'> F = sum_{j<n} eps_j d^2 F / dz^j dzbar^j, the
+    Fischer adjoint Qbar(grad, gradbar) of Q = <z',zbar'>_{r,s}."""
+    return apply_pbar(hermitian_quadric(F.n, F.trunc, r=r, s=F.n - 1 - r), F)
 
 
 def S_R_apply(u: MixedSeries, r, R) -> MixedSeries:
@@ -70,14 +74,6 @@ def S_R_apply(u: MixedSeries, r, R) -> MixedSeries:
 
 # ---------------------------------------------------------------------------
 # slice linear algebra helpers
-
-
-def _complex_nullspace(A, tol=1e-10):
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > tol * (s[0] if len(s) else 1.0)))
-    return vh[rank:].conj().T
 
 
 def _colspace(cols, tol=1e-10):
@@ -115,150 +111,60 @@ def _sigma_matrix(basis, n):
 
 
 # ---------------------------------------------------------------------------
-# clause builders.  Each builds the (k,l) slice with s-power m at its own
-# weighted degree trunc = k + l + 2m.
+# the clause table
 
 
-def _ctx_polys(n, r, R, trunc):
-    z = [MixedSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
-    zb = [MixedSeries.variable(n, trunc, "zb", i + 1) for i in range(n)]
-    Q = MixedSeries.zero(n, trunc)
-    for j, e in enumerate(eps_signs(n, r)):
-        Q = Q + z[j] * zb[j] * e
-    return Q, p_R_poly(n, trunc, R), z[n - 1], zb[n - 1]
+class Kernel(NamedTuple):
+    """ker pbar(grad, gradbar) on a slice (p homogeneous)."""
+
+    p: MixedSeries
 
 
-def _lap_null(n, r, trunc, k, l, m, power=1):
-    basis = type_basis(n, k, l, m)
-    if k < power or l < power:
-        return np.eye(len(basis), dtype=complex)
-    op = lambda e: bilinear_laplacian(e, r)
-    if power == 2:
-        inner = op
-        op = lambda e: bilinear_laplacian(inner(e), r)
-    A = op_matrix(op, basis, type_basis(n, k - power, l - power, m), n, trunc)
-    return _complex_nullspace(A)
+class Span(NamedTuple):
+    """The products q H, H of the type of the slice minus that of q (q
+    homogeneous): over all its monomials (H None), those free of z^n
+    (H = FREE_OF_ZN), or a basis of the Kernel H on its slice."""
+
+    q: MixedSeries
+    H: object = None
 
 
-def _clause_11(n, r, R, trunc, m):
-    return _lap_null(n, r, trunc, 1, 1, m)
+FREE_OF_ZN = "free of z^n"
 
-
-def _clause_31(n, r, R, trunc, m):
-    # Fischer complement of the line C * (<z',zbar'> p_R)
-    Q, pr, _, _ = _ctx_polys(n, r, R, trunc)
-    q = Q * pr
-    basis = type_basis(n, 3, 1, m)
-    row = np.zeros((1, len(basis)), dtype=complex)
-    fact = np.array([1, 1, 2, 6, 24, 120, 720], dtype=float)
-    for i, key in enumerate(basis):
-        a, b = key[:n], key[n : 2 * n]
-        c = q.coeff(a, b, 0)
-        # qbar(grad,gradbar) z^a zbar^b = conj(q_{a,b}) a! b!
-        row[0, i] = np.conj(c) * np.prod(fact[list(a)]) * np.prod(fact[list(b)])
-    return _complex_nullspace(row)
-
-
-def _clause_22(n, r, R, trunc, m):
-    Q, _, zn, znb = _ctx_polys(n, r, R, trunc)
-    basis = type_basis(n, 2, 2, m)
-    q = Q * zn * znb
-    parts = [
-        _lap_null(n, r, trunc, 2, 2, m),
-        op_matrix(lambda e: q * e, type_basis(n, 0, 0, m), basis, n, trunc),
-    ]
-    return _colspace(np.column_stack(parts))
-
-
-def _clause_32(n, r, R, trunc, m):
-    Q, _, zn, _ = _ctx_polys(n, r, R, trunc)
-    basis = type_basis(n, 3, 2, m)
-    q = Q * Q * zn
-    parts = [
-        op_matrix(lambda e: q * e, type_basis(n, 0, 0, m), basis, n, trunc),
-        op_matrix(lambda e: Q * e, type_basis(n, 2, 1, m), basis, n, trunc)
-        @ _lap_null(n, r, trunc, 2, 1, m),
-        _lap_null(n, r, trunc, 3, 2, m),
-    ]
-    return _colspace(np.column_stack(parts))
-
-
-def _clause_42(n, r, R, trunc, m):
-    Q, _, _, znb = _ctx_polys(n, r, R, trunc)
-    basis = type_basis(n, 4, 2, m)
-    h30 = [a + (0,) * n + (m,) for a in mons(n, 3) if a[n - 1] == 0]
-    q = Q * znb
-    parts = [
-        op_matrix(lambda e: q * e, h30, basis, n, trunc),
-        _lap_null(n, r, trunc, 4, 2, m),
-    ]
-    return _colspace(np.column_stack(parts))
-
-
-def _clause_k1(k):
-    def build(n, r, R, trunc, m):
-        basis = type_basis(n, k, 1, m)
-        index = {key: i for i, key in enumerate(basis)}
-        en = tuple([0] * (n - 1) + [1])
-        cols = []
-        for a in mons(n, k):
-            if a[n - 1] == 0:
-                v = np.zeros(len(basis), dtype=complex)
-                v[index[a + en + (m,)]] = 1.0
-                cols.append(v)
-        return (
-            np.column_stack(cols)
-            if cols
-            else np.zeros((len(basis), 0), dtype=complex)
-        )
-
-    return build
-
-
-def _clause_33_real(n, r, R, trunc, m):
-    """Real basis (stacked coords) of the (3,3) remainder slice:
-    ker D^2 plus the real span of Q^2 (z^n H_01 + conj)."""
-    Q, _, zn, _ = _ctx_polys(n, r, R, trunc)
-    basis = type_basis(n, 3, 3, m)
-    d = len(basis)
-    cols = [_realize(_lap_null(n, r, trunc, 3, 3, m, power=2))]
-    index = {key: i for i, key in enumerate(basis)}
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        h01 = MixedSeries(n, trunc, {(0,) * n + tuple(e) + (m,): 1.0}, _normalized=True)
-        for coef in (1.0, 1.0j):
-            elt = Q * Q * zn * h01 * coef
-            elt = elt + elt.conj()
-            v = np.zeros(2 * d)
-            for kk, vv in elt.coeffs.items():
-                if kk in index:
-                    v[index[kk]] = vv.real
-                    v[d + index[kk]] = vv.imag
-            cols.append(v.reshape(-1, 1))
-    return _colspace(np.column_stack(cols))
-
-
-#: clause registry: (k,l) -> builder(n, r, R, trunc, m).
-#: complex-valued builders return a complex basis of the (k,l) slice;
-#: builders whose name ends in ``_real`` return stacked real bases.
-_CLAUSES = {
-    (1, 1): _clause_11,
-    (3, 1): _clause_31,
-    (2, 2): _clause_22,
-    (3, 2): _clause_32,
-    (4, 2): _clause_42,
-    (3, 3): _clause_33_real,
+#: The remainder space, one entry per clause of the module docstring:
+#: (k, l) -> the parts of the slice, from Q = <z',zbar'>_{r,s}, p_R, z^n
+#: and zbar^n.  "k1" is the clause of every (k, 1) not listed.
+_TABLE = {
+    (1, 1): lambda Q, pR, zn, znb: [Kernel(Q)],
+    "k1": lambda Q, pR, zn, znb: [Span(znb, FREE_OF_ZN)],
+    (3, 1): lambda Q, pR, zn, znb: [Kernel(Q * pR)],
+    (2, 2): lambda Q, pR, zn, znb: [Kernel(Q), Span(Q * zn * znb)],
+    (3, 2): lambda Q, pR, zn, znb: [Span(Q * Q * zn), Span(Q, Kernel(Q)), Kernel(Q)],
+    (4, 2): lambda Q, pR, zn, znb: [Span(Q * znb, FREE_OF_ZN), Kernel(Q)],
+    (3, 3): lambda Q, pR, zn, znb: [Kernel(Q * Q), Span(Q * Q * zn), Span(Q * Q * znb)],
 }
-_REAL_CLAUSES = {(3, 3)}
 
 
-def _clause_for(k, l):
-    if (k, l) in _CLAUSES:
-        return _CLAUSES[(k, l)], (k, l) in _REAL_CLAUSES
-    if l == 1:
-        return _clause_k1(k), False
-    return None, False
+def _clause(k, l):
+    """The table entry of the type (k, l), k >= l >= 1; None if unlisted."""
+    return _TABLE.get((k, l), _TABLE["k1"] if l == 1 else None)
+
+
+def _part_columns(part, n, k, l, m, trunc):
+    """Complex columns spanning one part of a clause on the type-(k, l)
+    slice with s-power m, in type_basis order."""
+    p = part.p if isinstance(part, Kernel) else part.q
+    a, b, _, _ = next(p.terms())
+    ka, lb = k - sum(a), l - sum(b)
+    keys, src = type_basis(n, k, l, m), type_basis(n, ka, lb, m)
+    if isinstance(part, Kernel):
+        return nullspace(pbar_matrix(p, keys, src), 1e-10)
+    C = op_matrix(lambda e: p * e, src, keys, n, trunc)
+    if part.H is None:
+        return C
+    if part.H is FREE_OF_ZN:
+        return C[:, np.array([key[n - 1] == 0 for key in src], dtype=bool)]
+    return C @ _part_columns(part.H, n, ka, lb, m, trunc)
 
 
 def normal_slice_real_basis(n, r, R, k, l, m):
@@ -270,19 +176,23 @@ def normal_slice_real_basis(n, r, R, k, l, m):
     """
     if k < l:
         raise ValueError("use k >= l; the (l,k) part follows by conjugation")
-    basis = type_basis(n, k, l, m)
-    d = len(basis)
-    trunc = k + l + 2 * m
-    builder, is_real = _clause_for(k, l)
-    if builder is None:
-        out = _realize(np.eye(d, dtype=complex))
-    elif is_real:
-        out = builder(n, r, R, trunc, m)
+    keys = type_basis(n, k, l, m)
+    d = len(keys)
+    clause = _clause(k, l)
+    if clause is None:
+        cols = np.eye(d, dtype=complex)
     else:
-        out = _realize(builder(n, r, R, trunc, m))
+        trunc = k + l + 2 * m
+        polys = (
+            hermitian_quadric(n, trunc, r=r, s=n - 1 - r),
+            p_R_poly(n, trunc, R),
+            MixedSeries.variable(n, trunc, "z", n),
+            MixedSeries.variable(n, trunc, "zb", n),
+        )
+        cols = np.column_stack([_part_columns(part, n, k, l, m, trunc) for part in clause(*polys)])
+    out = _realize(cols)
     if k == l:
-        P = 0.5 * (np.eye(2 * d) + _sigma_matrix(basis, n))
-        return _colspace(P @ out)
+        out = 0.5 * (np.eye(2 * d) + _sigma_matrix(keys, n)) @ out
     return _colspace(out)
 
 
@@ -347,7 +257,7 @@ def _project_slices(F: MixedSeries, basis, tol):
         x = _stack(_slice_vector(coeffs, keys))
         if k == 0 or l == 0:
             p = np.zeros_like(x)
-        elif _clause_for(k, l)[0] is None:
+        elif _clause(k, l) is None:
             p = x
         else:
             B = basis((k, l, m))
@@ -374,7 +284,7 @@ def normal_space_report(F: MixedSeries, r, R, tol=DEFAULT_TOL):
             resid = float(np.linalg.norm(x - p))
             ok = resid <= tol * (1.0 + scale)
         report[(k, l, m)] = {
-            "listed": k == 0 or l == 0 or _clause_for(k, l)[0] is not None,
+            "listed": k == 0 or l == 0 or _clause(k, l) is not None,
             "residual": resid,
             "ok": ok,
         }

@@ -689,48 +689,3 @@ def fixed_point(defect, correct, x, trunc, tol, what):
             f"{what} did not converge in {rounds} rounds (defect {res:.3e})"
         )
     return x
-
-
-# ---------------------------------------------------------------------------
-# graph form <-> complex form
-
-
-def graph_to_complex(phi: MixedSeries, tol=DEFAULT_TOL) -> MixedSeries:
-    """Solve im w = phi(z, zbar, re w) for w = Q(z, zbar, wbar).
-
-    The result reuses the s-slot of MixedSeries for the variable wbar
-    (same weight).  Q = wbar + 2i*phi(z, zbar, (Q + wbar)/2).
-    """
-    if not phi.is_real(tol):
-        raise ValueError("phi must be a real series")
-    n, trunc = phi.n, phi.trunc
-    wbar = MixedSeries.variable(n, trunc, "s")
-    return fixed_point(
-        lambda Q: [wbar + 2j * phi.subs(s=(Q + wbar) * 0.5) - Q],
-        lambda Q, r: Q + r[0],
-        wbar,
-        trunc,
-        tol,
-        "graph_to_complex",
-    )
-
-
-def complex_to_graph(Q: MixedSeries, tol=DEFAULT_TOL) -> MixedSeries:
-    """Inverse of graph_to_complex: recover phi with im w = phi(z,zbar,re w)."""
-    n, trunc = Q.n, Q.trunc
-    s = MixedSeries.variable(n, trunc, "s")
-
-    def defect(phi):
-        # w = Q(z,zbar,wbar), wbar = s - i*phi  =>  phi = (Q - (s - i*phi))/(2i)
-        wbar = s - 1j * phi
-        return [(Q.subs(s=wbar) - wbar) * (-0.5j) - phi]
-
-    phi = fixed_point(
-        defect,
-        lambda phi, r: phi + r[0],
-        MixedSeries.zero(n, trunc),
-        trunc,
-        tol,
-        "complex_to_graph",
-    )
-    return phi.realified()

@@ -112,6 +112,29 @@ class TestCommands:
         assert np.allclose(out["lambda"], [1.0, 1.0])
         assert out["residual"] < 1e-10
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ("[[0,1],[2,0]]", "not symmetric"),
+            ("[[1,2,3],[2,1,0]]", "square"),
+            ("[1,2]", "invalid matrix entries"),
+            ("[[NaN,1],[1,0]]", "finite"),
+            ("[[Infinity,1],[1,0]]", "finite"),
+        ],
+    )
+    def test_takagi_bad_matrix_exit_code(self, capsys, matrix, message):
+        assert main(["takagi", matrix]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert message in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["takagi", "[[1]]"], ["aut-bound", "2", "1"]])
+    def test_trunc_is_not_a_flag_of_takagi_and_aut_bound(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trunc", "4"])
+        assert exc.value.code == 2
+        assert "--trunc" in capsys.readouterr().err
+
     def test_aut_bound(self, capsys):
         assert main(["aut-bound", "3", "1", "0.5", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnf.fischer import (
     apply_pbar,
     fischer_decompose,
     fischer_decompose2,
     mons,
+    pbar_matrix,
     series_of,
     type_basis,
     vec_of,
@@ -114,3 +116,65 @@ def test_vec_series_round_trip(rng):
     v = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     F = series_of(v, basis, n, 10)
     assert np.linalg.norm(vec_of(F, basis) - v) < 1e-14
+
+
+def _apply_pbar_ref(p: MixedSeries, F: MixedSeries) -> MixedSeries:
+    """pbar(grad, gradbar) F by chains of single derivatives (the oracle of
+    the closed form on exponents)."""
+    n = F.n
+    out = MixedSeries.zero(n, F.trunc)
+    for a, b, m, c in p.terms():
+        if m:
+            raise ValueError("operator polynomial cannot depend on s")
+        term = F
+        for i in range(n):
+            for _ in range(a[i]):
+                term = term.diff("z", i + 1)
+            for _ in range(b[i]):
+                term = term.diff("zb", i + 1)
+        out = out + term * c.conjugate()
+    return MixedSeries(n, F.trunc, out.coeffs)
+
+
+def _random_terms(rng, n, count, deg, max_exp, s_max):
+    """Random coefficients of ``count`` monomials; total z/zbar degree
+    ``deg`` if given (a homogeneous polynomial), s-power up to s_max."""
+    out = {}
+    for _ in range(count):
+        k = [int(x) for x in rng.integers(0, max_exp + 1, 2 * n)]
+        if deg is not None:
+            k = [int(x) for x in rng.multinomial(deg, [1.0 / (2 * n)] * (2 * n))]
+        out[tuple(k) + (int(rng.integers(0, s_max + 1)),)] = complex(rng.normal(), rng.normal())
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_closed_form_pbar_matches_derivative_chains(n, deg, seed):
+    rng = np.random.default_rng(seed)
+    trunc = 12
+    p = MixedSeries(n, trunc, _random_terms(rng, n, 3, deg, 0, 0))
+    F = MixedSeries(n, trunc, _random_terms(rng, n, 12, None, 4, 2))
+    got, ref = apply_pbar(p, F), _apply_pbar_ref(p, F)
+    scale = max(ref.norm(), got.norm())
+    for key in set(got.coeffs) | set(ref.coeffs):
+        assert abs(got.coeffs.get(key, 0.0) - ref.coeffs.get(key, 0.0)) <= 1e-12 * scale, key
+
+
+def test_pbar_matrix_matches_apply_pbar(rng):
+    n, trunc = 3, 10
+    p = hermitian_quadric(n, trunc, r=1, s=1) * p_R_poly(n, trunc, np.diag([1.0, 0.41]))
+    src, dst = type_basis(n, 4, 2, 1), type_basis(n, 1, 1, 1)
+    v = rng.normal(size=len(src)) + 1j * rng.normal(size=len(src))
+    F = series_of(v, src, n, trunc)
+    assert np.linalg.norm(pbar_matrix(p, src, dst) @ v - vec_of(apply_pbar(p, F), dst)) < 1e-12
+
+
+def test_pbar_of_a_polynomial_in_s_raises():
+    n, trunc = 2, 8
+    p = MixedSeries.monomial(n, trunc, (1, 0), (0, 0), 1)
+    F = MixedSeries.monomial(n, trunc, (2, 0), (1, 0), 0)
+    with pytest.raises(ValueError, match="cannot depend on s"):
+        apply_pbar(p, F)
+    with pytest.raises(ValueError, match="cannot depend on s"):
+        _apply_pbar_ref(p, F)

@@ -11,7 +11,6 @@ from crnf.linalg import (
     nullspace,
     orthonormal_basis,
     principal_angle_gap,
-    rank_tol,
     takagi,
     takagi_stabilizer_check,
 )
@@ -82,10 +81,6 @@ class TestSubspaces:
         N = nullspace(A)
         assert N.shape[1] == 2
         assert np.linalg.norm(A @ N) < 1e-12
-
-    def test_rank_tol(self, rng):
-        A = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 5))
-        assert rank_tol(A) == 3
 
     def test_orthonormal_basis_and_angles(self, rng):
         V = rng.normal(size=(6, 3))

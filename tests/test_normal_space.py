@@ -1,17 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
-from crnf.fischer import mons
+from crnf.fischer import mons, op_matrix, type_basis
 from crnf.series import MixedSeries
 from crnf.normal_space import (
     S_R_apply,
+    _colspace,
+    _realize,
+    _sigma_matrix,
     bilinear_laplacian,
     eps_signs,
     is_in_normal_space,
+    normal_slice_real_basis,
     normal_space_dim,
     normal_space_report,
     project_normal,
+    remainder_bases,
 )
+from crnf.hypersurfaces import p_R_poly
 
 
 def mono(n, trunc, a, b, m, c=1.0):
@@ -145,3 +153,140 @@ class TestProjection:
         N2, C2 = project_normal(N, 1, R)
         assert C2.norm() < 1e-10
         assert (N2 - N).norm() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the remainder slices against hand-written clause builders: one builder
+# per clause, the Laplacian by chains of derivatives, the (3, 3) clause
+# as the real span of ker D^2 and Q^2 (z^n H_01 + conj)
+
+
+def _laplacian_ref(F, r):
+    out = MixedSeries.zero(F.n, F.trunc)
+    for j, e in enumerate(eps_signs(F.n, r)):
+        out = out + F.diff("z", j + 1).diff("zb", j + 1) * e
+    return MixedSeries(F.n, F.trunc, out.coeffs)
+
+
+def _nullspace_ref(A):
+    if A.shape[0] == 0:
+        return np.eye(A.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(A)
+    return vh[int(np.sum(s > 1e-10 * s[0])) :].conj().T
+
+
+def _polys_ref(n, r, trunc, R):
+    z = [MixedSeries.variable(n, trunc, "z", i + 1) for i in range(n)]
+    zb = [MixedSeries.variable(n, trunc, "zb", i + 1) for i in range(n)]
+    Q = MixedSeries.zero(n, trunc)
+    for j, e in enumerate(eps_signs(n, r)):
+        Q = Q + z[j] * zb[j] * e
+    return Q, p_R_poly(n, trunc, R), z[n - 1], zb[n - 1]
+
+
+def _lap_null_ref(n, r, trunc, k, l, m, power=1):
+    basis = type_basis(n, k, l, m)
+    op = lambda e: _laplacian_ref(e, r)  # noqa: E731
+    if power == 2:
+        op = lambda e: _laplacian_ref(_laplacian_ref(e, r), r)  # noqa: E731
+    return _nullspace_ref(op_matrix(op, basis, type_basis(n, k - power, l - power, m), n, trunc))
+
+
+def _times_ref(q, src, basis, n, trunc):
+    return op_matrix(lambda e: q * e, src, basis, n, trunc)
+
+
+def _slice_basis_ref(n, r, R, k, l, m):
+    trunc = k + l + 2 * m
+    basis = type_basis(n, k, l, m)
+    d = len(basis)
+    Q, pR, zn, znb = _polys_ref(n, r, trunc, R)
+    h00 = type_basis(n, 0, 0, m)
+    free = lambda kk: [a + (0,) * n + (m,) for a in mons(n, kk) if a[n - 1] == 0]  # noqa: E731
+    if (k, l) == (1, 1):
+        out = _realize(_lap_null_ref(n, r, trunc, 1, 1, m))
+    elif (k, l) == (3, 1):
+        # qbar(grad, gradbar) z^a zbar^b = conj(q_{a,b}) a! b! on a (3,1) slice
+        q = Q * pR
+        fact = [math.factorial(i) for i in range(7)]
+        row = np.array(
+            [[np.conj(q.coeff(key[:n], key[n : 2 * n], 0)) * np.prod([fact[i] for i in key[: 2 * n]]) for key in basis]]
+        )
+        out = _realize(_nullspace_ref(row))
+    elif l == 1:
+        out = _realize(_times_ref(znb, free(k), basis, n, trunc))
+    elif (k, l) == (2, 2):
+        parts = [_lap_null_ref(n, r, trunc, 2, 2, m), _times_ref(Q * zn * znb, h00, basis, n, trunc)]
+        out = _realize(_colspace(np.column_stack(parts)))
+    elif (k, l) == (3, 2):
+        parts = [
+            _times_ref(Q * Q * zn, h00, basis, n, trunc),
+            _times_ref(Q, type_basis(n, 2, 1, m), basis, n, trunc) @ _lap_null_ref(n, r, trunc, 2, 1, m),
+            _lap_null_ref(n, r, trunc, 3, 2, m),
+        ]
+        out = _realize(_colspace(np.column_stack(parts)))
+    elif (k, l) == (4, 2):
+        parts = [_times_ref(Q * znb, free(3), basis, n, trunc), _lap_null_ref(n, r, trunc, 4, 2, m)]
+        out = _realize(_colspace(np.column_stack(parts)))
+    elif (k, l) == (3, 3):
+        cols = [_realize(_lap_null_ref(n, r, trunc, 3, 3, m, power=2))]
+        index = {key: i for i, key in enumerate(basis)}
+        for j in range(n):
+            h01 = MixedSeries.monomial(n, trunc, (0,) * n, tuple(int(i == j) for i in range(n)), m)
+            for coef in (1.0, 1.0j):
+                elt = Q * Q * zn * h01 * coef
+                elt = elt + elt.conj()
+                v = np.zeros(2 * d)
+                for key, val in elt.coeffs.items():
+                    v[index[key]], v[d + index[key]] = val.real, val.imag
+                cols.append(v.reshape(-1, 1))
+        out = np.column_stack(cols)
+    else:
+        out = np.eye(2 * d)
+    if k == l:
+        out = 0.5 * (np.eye(2 * d) + _sigma_matrix(basis, n)) @ out
+    return _colspace(out)
+
+
+_SPAN_GRID = [
+    (2, 1, (0.0,), 8),
+    (2, 1, (1.0,), 8),
+    (3, 2, (1.0, 0.5), 8),
+    (3, 1, (1.0, 0.5), 8),
+    (3, 2, (0.0, 0.0), 8),
+    (4, 3, (1.0, 0.41, 0.72), 5),
+    (4, 1, (1.0, 0.41, 0.72), 5),
+]
+
+
+@pytest.mark.parametrize("n,r,lam,top", _SPAN_GRID)
+def test_clause_table_spans_the_hand_written_clauses(n, r, lam, top):
+    R = np.diag(lam)
+    for nu in range(4, top + 1):
+        for (k, l, m), B in remainder_bases(n, r, R, nu).items():
+            ref = _slice_basis_ref(n, r, R, k, l, m)
+            assert B.shape == ref.shape, (nu, k, l, m)
+            assert np.abs(B @ B.T - ref @ ref.T).max(initial=0.0) <= 1e-12, (nu, k, l, m)
+
+
+def test_33_clause_real_points_have_its_complex_dimension():
+    """The (3, 3) clause V = ker D^2 + Q^2 z^n H_01 + Q^2 zbar^n H_10 is
+    closed under conjugation, so its real points span it over C: the real
+    slice basis lies in V and has V's complex dimension."""
+    n, r, R, m = 3, 1, np.diag([1.0, 0.5]), 1
+    trunc = 6 + 2 * m
+    keys = type_basis(n, 3, 3, m)
+    Q, _, zn, znb = _polys_ref(n, r, trunc, R)
+    V = _colspace(
+        np.column_stack(
+            [
+                _lap_null_ref(n, r, trunc, 3, 3, m, power=2),
+                _times_ref(Q * Q * zn, type_basis(n, 0, 1, m), keys, n, trunc),
+                _times_ref(Q * Q * znb, type_basis(n, 1, 0, m), keys, n, trunc),
+            ]
+        )
+    )
+    B = normal_slice_real_basis(n, r, R, 3, 3, m)
+    C = B[: len(keys)] + 1j * B[len(keys) :]
+    assert B.shape[1] == V.shape[1] < len(keys)
+    assert np.abs(C - V @ (V.conj().T @ C)).max() <= 1e-12

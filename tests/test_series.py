@@ -12,9 +12,7 @@ from crnf.series import (
     _SMALL_MUL,
     _compose_terms,
     _strides,
-    complex_to_graph,
     fixed_point,
-    graph_to_complex,
 )
 
 
@@ -142,25 +140,6 @@ class TestReality:
         a = (z(1, 6, 1) * zb(1, 6, 1)).realified()
         b = (MixedSeries.monomial(1, 6, (2,), (1,), 0, 1j)).realified()
         assert (a + b).is_real() and (a * b).is_real()
-
-
-class TestGraphComplexRoundTrip:
-    def test_quadric(self):
-        phi = z(1, 4, 1) * zb(1, 4, 1)
-        Q = graph_to_complex(phi)
-        back = complex_to_graph(Q)
-        assert (back - phi).norm() < 1e-10
-
-    def test_zero(self):
-        phi = MixedSeries.zero(1, 4)
-        assert complex_to_graph(graph_to_complex(phi)).norm() < 1e-12
-
-    def test_cubic_model_roundtrip(self):
-        from crnf.hypersurfaces import model_D
-
-        phi = model_D(2, 8, (1.0,)).phi
-        Q = graph_to_complex(phi)
-        assert (complex_to_graph(Q) - phi).norm() < 1e-10
 
 
 class TestFixedPoint:

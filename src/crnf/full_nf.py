@@ -16,10 +16,17 @@ equation
 
 with N_nu the remainder space of normal_space.  The solver assembles L
 degreewise as a real linear system over monomial coefficients: one
-column per map unknown under the gauge constraints, built from series
-products, then the remainder-space coordinates, filled slice by slice
-from the coefficient blocks of normal_space.remainder_blocks.  The
-system is assembled as a sparse matrix straight from its nonzeros (no
+column per map unknown under the gauge constraints, then the
+remainder-space coordinates, slice by slice from the real bases of
+normal_space.remainder_bases.  The assembly runs on exponent arrays.
+The column of a map unknown z^a s^j is the real part of z^a W (or
+i z^a W), with W one of a few fixed series per slot, component and
+s-power (_column_factors).  A monomial key is packed into one integer
+(series._strides); packing is linear, so multiplying by z^a adds a
+constant to the packed keys of W, which are formed once per W, and one
+binary search in the sorted packed keys of the rows places all of its
+terms.  A remainder slice places its monomials once in the same way.
+The system is assembled as a sparse matrix straight from its nonzeros (no
 dense matrix is formed) and factored once by sparse LU (SuperLU, through
 scipy.sparse.linalg.splu).  It is square and invertible: its extreme
 singular values come from Lanczos iterations (ARPACK svds) on the matrix
@@ -41,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, NormalFormError
+from .series import DEFAULT_TOL, STORE_TOL, MixedSeries, NormalFormError, _strides, _to_arrays
 from .fischer import mons
 from .hypersurfaces import Hypersurface, hermitian_quadric, model_phi, p_R_poly
 from .linalg import nullspace
@@ -54,7 +61,6 @@ from .normal_space import (
     project_normal,
     project_onto,
     remainder_bases,
-    remainder_blocks,
 )
 
 __all__ = [
@@ -284,21 +290,6 @@ def check_G0(T: FormalMap, tol=DEFAULT_TOL):
 # the graded linear solver
 
 
-def _canonical_rows(n, nu):
-    """Canonical monomial keys at weighted degree nu with a >= b, plus a
-    'self' flag; each key stands for one (a != b: two) real equations."""
-    rows = []
-    for m in range(nu // 2 + 1):
-        d = nu - 2 * m
-        for k in range(d + 1):
-            l = d - k
-            for a in mons(n, k):
-                for b in mons(n, l):
-                    if a > b or a == b:
-                        rows.append((a + b + (m,), a == b))
-    return rows
-
-
 #: a map term z^a s^j in slot "fp" (f'), "fn" (f^n) or "g" has weighted
 #: degree |a| + 2j + _OFFSET[slot]
 _OFFSET = {"fp": 1, "fn": 2, "g": 0}
@@ -390,14 +381,16 @@ def _factor(A, nu):
     return lu, sigma_min, sigma_max
 
 
-def _coeff_block(F: MixedSeries):
-    """(keys, C): the coefficients of F as a one-column block."""
-    keys = list(F.coeffs)
-    return keys, np.array([F.coeffs[k] for k in keys], dtype=complex).reshape(-1, 1)
-
-
 class _LSystem:
     """Assembled real linear system for one weighted degree.
+
+    The rows are the real and imaginary parts of the monomial
+    coefficients at degree nu, one key (a, b, m) per conjugate pair with
+    a >= b in lex order (a = b: the real part only), ordered by m, then
+    |a|, then a and b in mons order.  A key is found by its packed integer
+    (series._strides): a binary search in the sorted packed keys of the
+    rows gives its row.  Packing is linear, and a >= b compares the packed
+    z part with the packed zbar part.
 
     mat is the square sparse (CSC) matrix, assembled from the COO triplets
     of its columns: first the map unknowns, then the remainder
@@ -412,58 +405,57 @@ class _LSystem:
 
         self.n, self.r, self.nu = n, r, nu
         self.R = np.asarray(R, dtype=complex)
-        trunc = nu
-        row_index = {}
-        pos = 0
-        for key, selfconj in _canonical_rows(n, nu):
-            row_index[key] = (pos, selfconj)
-            pos += 1 if selfconj else 2
-        self.row_index = row_index
-        self.nrows = pos
+        weights = np.ones(2 * n + 1, dtype=np.int64)
+        weights[-1] = 2
+        strides = _strides(weights, nu)
+        if strides is None:
+            raise NormalFormError(f"graded system at degree {nu} is too large to index")
+        # packed key = z part + zbar part + m; the z part of a is M times
+        # the zbar part of the same exponents
+        self._sz, self._szb = strides[:n], strides[n : 2 * n]
+        self._M = int(strides[0] // strides[n])
 
-        Q = hermitian_quadric(n, trunc, r=r, s=n - 1 - r)
-        pr = p_R_poly(n, trunc, self.R)
-        prefix_fn = 2.0 * (
-            pr.conj()
-            + 2.0
-            * MixedSeries.variable(n, trunc, "z", n)
-            * MixedSeries.variable(n, trunc, "zb", n)
-        )
-        zb = [MixedSeries.variable(n, trunc, "zb", j + 1) for j in range(n)]
-        eps = eps_signs(n, r)
-        svar = MixedSeries.variable(n, trunc, "s")
-        sw = [MixedSeries.constant(n, trunc, 1.0)]
-        for _ in range(nu // 2):
-            sw.append(sw[-1] * (svar + 1j * Q))
+        exps, packed, selfconj = [], [], []
+        for m in range(nu // 2 + 1):
+            for k in range(nu - 2 * m + 1):
+                A, B = _mons_array(n, k), _mons_array(n, nu - 2 * m - k)
+                za, zb = A @ self._sz, B @ self._szb
+                ia, ib = np.nonzero(za[:, None] >= self._M * zb[None, :])
+                exps.append(np.column_stack([A[ia], B[ib], np.full(len(ia), m)]))
+                packed.append(za[ia] + zb[ib] + m)
+                selfconj.append(za[ia] == self._M * zb[ib])
+        self._exps = np.concatenate(exps)
+        selfconj = np.concatenate(selfconj)
+        width = np.where(selfconj, 1, 2)
+        self._pos = np.cumsum(width) - width
+        self._selfconj = selfconj
+        self.nrows = int(width.sum())
+        packed = np.concatenate(packed)
+        self._order = np.argsort(packed)
+        self._sorted = packed[self._order]
 
-        # column blocks (keys, C) in column order
-        blocks = []
+        rows, cols, vals = [], [], []
         self.unknowns = []
+        groups = {}
         for slot, comp, a, j, parts in _unknown_monomials(n, nu):
-            za = MixedSeries.monomial(n, trunc, a, (0,) * n, 0)
-            if slot == "fp":
-                base = (2.0 * eps[comp]) * (za * zb[comp]) * sw[j]
-            elif slot == "fn":
-                base = prefix_fn * za * sw[j]
-            else:
-                base = 1j * (za * sw[j])
-            for part in parts:
-                term = base if part == "x" else 1j * base
-                blocks.append(_coeff_block(term.re_part()))
-                self.unknowns.append((slot, comp, a, j, part))
+            groups.setdefault((slot, comp, j), []).append((a, len(self.unknowns), parts))
+            self.unknowns.extend((slot, comp, a, j, part) for part in parts)
+        W = _column_factors(n, r, self.R, nu)
+        for (slot, comp, j), members in groups.items():
+            i, c, v = self._map_triplets(W(slot, comp, j), members)
+            rows.append(i)
+            cols.append(c)
+            vals.append(v)
         k0 = len(self.unknowns)
         # remainder-space coordinates, slice by slice
         self.bases = remainder_bases(n, r, self.R, nu)
-        blocks.extend(remainder_blocks(n, self.bases))
-
-        rows, cols, vals = [], [], []
-        ncols = 0
-        for keys, C in blocks:
-            i, j, v = self._triplets(keys, C)
+        ncols = k0
+        for (k, l, m), B in self.bases.items():
+            i, c, v = self._slice_triplets(k, l, m, B)
             rows.append(i)
-            cols.append(j + ncols)
+            cols.append(c + ncols)
             vals.append(v)
-            ncols += C.shape[1]
+            ncols += B.shape[1]
         if self.nrows != ncols:
             raise NormalFormError(
                 f"graded system at degree {nu} is not square: "
@@ -473,48 +465,138 @@ class _LSystem:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.nrows, ncols),
         )
+        self.mat.eliminate_zeros()  # from a conjugate pair that cancels
         self.remainder = self.mat[:, k0:]
         self.lu, self.sigma_min, self.sigma_max = _factor(self.mat, nu)
 
-    def _triplets(self, keys, C):
-        """COO triplets (row, column, value) of the canonical real rows of
-        the block C, whose row i holds coefficients at keys[i]; only
-        nonzero values are kept."""
+    def _canonical(self, za, zb, m):
+        """For keys with packed z parts za, zbar parts zb and s-powers m:
+        (row, selfconj, flipped) of the row key of each, flipped where
+        a < b (the row is that of the conjugate key)."""
+        flipped = za < self._M * zb
+        packed = np.where(flipped, self._M * zb + za // self._M, za + zb) + m
+        at = self._order[np.searchsorted(self._sorted, packed)]
+        return self._pos[at], self._selfconj[at], flipped
+
+    def _map_triplets(self, W, members):
+        """COO triplets of the map-unknown columns z^a W and i z^a W over
+        members, a list of (a, first column, parts): the canonical rows
+        of Re(c z^a W).  The key of a term of z^a W is that of W plus the
+        packed a, so W is packed once."""
         n = self.n
-        take = [i for i, key in enumerate(keys) if key[:n] >= key[n : 2 * n]]
-        pos = np.array([self.row_index[keys[i]] for i in take], dtype=int)
-        p, selfconj = pos.reshape(-1, 2).T
-        imag = selfconj == 0  # the imaginary part has a row of its own
-        C = C[take]
-        rows = np.concatenate([p, p[imag] + 1])
-        block = np.concatenate([C.real, C[imag].imag])
-        i, j = np.nonzero(block)
-        return rows[i], j, block[i, j]
+        E, w = _to_arrays(W.coeffs, 2 * n + 1)
+        shift = np.array([a for a, _, _ in members], dtype=np.int64).reshape(-1, n) @ self._sz
+        za = E[:, :n] @ self._sz + shift[:, None]
+        p, selfconj, flipped = self._canonical(za, E[:, n : 2 * n] @ self._szb, E[:, 2 * n])
+        rows, cols, vals = [], [], []
+        for part, v in (("x", w), ("y", 1j * w)):
+            col = np.array([c + parts.index(part) if part in parts else -1 for _, c, parts in members])
+            on = col >= 0
+            # Re(v z^a W) at a row key: v/2 from the key, conj(v)/2 from
+            # its conjugate; both when a = b
+            u = np.where(selfconj, v.real, 0.5 * np.where(flipped, v.conj(), v))[on]
+            both = ~selfconj[on]
+            c = np.broadcast_to(col[on, None], u.shape)
+            rows += [p[on].ravel(), p[on][both] + 1]
+            cols += [c.ravel(), c[both]]
+            vals += [u.real.ravel(), u.imag[both]]
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    def _slice_triplets(self, k, l, m, B):
+        """COO triplets (row, column, value) of the real basis B (stacked
+        coordinates, rows in type_basis order) of the remainder slice
+        (k, l, m); entries of complex modulus <= STORE_TOL are left out.
+        For k = l only keys with a >= b have rows of their own; for k != l
+        a key with a < b writes its conjugate at the conjugate key."""
+        A, Bm = _mons_array(self.n, k), _mons_array(self.n, l)
+        za = np.repeat(A @ self._sz, len(Bm))
+        zb = np.tile(Bm @ self._szb, len(A))
+        p, selfconj, flipped = self._canonical(za, zb, m)
+        d = len(za)
+        row = np.concatenate([p, np.where(selfconj, -1, p + 1)])
+        sign = np.concatenate([np.ones(d), np.where(flipped, -1.0, 1.0)])
+        if k == l:
+            row[np.concatenate([flipped, flipped])] = -1
+        i, j = np.nonzero(B)
+        key = i % d
+        on = (row[i] >= 0) & (np.hypot(B[key, j], B[key + d, j]) > STORE_TOL)
+        i, j = i[on], j[on]
+        return row[i], j, B[i, j] * sign[i]
 
     def rhs_of(self, F: MixedSeries):
+        """The canonical rows of the real series F, homogeneous of degree
+        nu."""
+        n = self.n
         v = np.zeros(self.nrows)
-        rows, _, vals = self._triplets(*_coeff_block(F))
-        v[rows] = vals
+        E, c = _to_arrays(F.coeffs, 2 * n + 1)
+        za, zb = E[:, :n] @ self._sz, E[:, n : 2 * n] @ self._szb
+        keep = za >= self._M * zb
+        p, selfconj, _ = self._canonical(za[keep], zb[keep], E[keep, 2 * n])
+        c = c[keep]
+        v[p] = c.real
+        v[p[~selfconj] + 1] = c.imag[~selfconj]
         return v
 
     def series_of(self, v, trunc) -> MixedSeries:
         """The real series whose canonical rows are v (inverse of rhs_of)."""
         n = self.n
+        val = np.zeros(len(self._pos), dtype=complex)
+        val.real = v[self._pos]
+        pair = ~self._selfconj
+        val.imag[pair] = v[self._pos[pair] + 1]
+        keep = np.abs(val) > STORE_TOL
+        E = self._exps[keep]
+        flip = np.r_[n : 2 * n, :n, 2 * n]
         coeffs = {}
-        for key, (p, selfconj) in self.row_index.items():
-            val = complex(v[p], 0.0 if selfconj else v[p + 1])
-            if abs(val) > STORE_TOL:
-                coeffs[key] = val
-                if not selfconj:
-                    coeffs[key[n : 2 * n] + key[:n] + (key[2 * n],)] = val.conjugate()
+        for key, ckey, c, p in zip(
+            map(tuple, E.tolist()), map(tuple, E[:, flip].tolist()), val[keep].tolist(), pair[keep].tolist()
+        ):
+            coeffs[key] = c
+            if p:
+                coeffs[ckey] = c.conjugate()
         return MixedSeries(n, trunc, coeffs)
+
+
+def _mons_array(n, k):
+    """mons(n, k) as an int64 array of shape (#, n)."""
+    return np.array(mons(n, k), dtype=np.int64).reshape(-1, n)
+
+
+def _column_factors(n, r, R, nu):
+    """W(slot, comp, j): the series whose product with z^a is the column
+    of the map unknown z^a s^j of (slot, comp) before its real part is
+    taken: 2 eps_comp zbar^comp (s + iQ)^j for f', 2 (pbar_R + 2 z^n
+    zbar^n) (s + iQ)^j for f^n and i (s + iQ)^j for g."""
+    Q = hermitian_quadric(n, nu, r=r, s=n - 1 - r)
+    prefix_fn = 2.0 * (
+        p_R_poly(n, nu, R).conj()
+        + 2.0 * MixedSeries.variable(n, nu, "z", n) * MixedSeries.variable(n, nu, "zb", n)
+    )
+    eps = eps_signs(n, r)
+    svar = MixedSeries.variable(n, nu, "s")
+    sw = [MixedSeries.constant(n, nu, 1.0)]
+    for _ in range(nu // 2):
+        sw.append(sw[-1] * (svar + 1j * Q))
+
+    def W(slot, comp, j):
+        if slot == "fp":
+            return (2.0 * eps[comp]) * MixedSeries.variable(n, nu, "zb", comp + 1) * sw[j]
+        if slot == "fn":
+            return prefix_fn * sw[j]
+        return 1j * sw[j]
+
+    return W
 
 
 _SYSTEM_CACHE = {}
 
 
 def _get_system(n, r, R, nu) -> _LSystem:
-    key = (n, r, tuple(np.asarray(R, dtype=complex).ravel().round(14)), nu)
+    """The cached system of (n, r, R, nu), built from R rounded to 14
+    decimals, the precision of the cache key, so that it does not depend
+    on which nearby R came first."""
+    R = np.asarray(R, dtype=complex).round(14)
+    key = (n, r, tuple(R.ravel()), nu)
     if key not in _SYSTEM_CACHE:
         _SYSTEM_CACHE[key] = _LSystem(n, r, R, nu)
     return _SYSTEM_CACHE[key]

@@ -37,6 +37,17 @@ parts of the type-(k,l) coefficient vector, k >= l); for k > l the
 type-(l,k) coefficients of a real series are implied by conjugation,
 and for k = l bases are restricted to the conjugation-symmetric real
 slice.
+
+The bases are orthonormalized without factoring a realized 2d x 2p
+matrix.  For k > l the complex d x p columns of the clause are
+orthonormalized (SVD) and then realized: a complex orthonormal U
+realizes to the orthonormal real basis [U, iU].  For k = l the
+symmetric real points have the closed-form orthonormal basis P of
+_sigma_basis, (e_i + e_flip(i))/sqrt2 and (e_{d+i} - e_{d+flip(i)})/sqrt2
+for the pairs of a key with its flip and e_i for a flip-fixed key; the
+slice basis is P times an orthonormal basis of the column space of
+P^t times the realized columns.  An unlisted slice has the identity
+(k > l) or P (k = l) as its basis, with no factorization.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .series import DEFAULT_TOL, STORE_TOL, MixedSeries
-from .fischer import apply_pbar, op_matrix, pbar_matrix, type_basis
+from .fischer import apply_pbar, mons, op_matrix, pbar_matrix, type_basis
 from .hypersurfaces import hermitian_quadric, p_R_poly
 from .linalg import nullspace
 
@@ -96,18 +107,24 @@ def _realize(B):
     return out
 
 
-def _sigma_matrix(basis, n):
-    """Conjugate-flip involution on a self-conjugate (k,k) slice, in
-    stacked real coordinates: sigma(c)_(a,b,m) = conj(c_(b,a,m))."""
-    d = len(basis)
-    index = {key: i for i, key in enumerate(basis)}
-    S = np.zeros((2 * d, 2 * d))
-    for i, key in enumerate(basis):
-        a, b, m = key[:n], key[n : 2 * n], key[2 * n]
-        j = index[b + a + (m,)]
-        S[j, i] = 1.0
-        S[d + j, d + i] = -1.0
-    return S
+def _sigma_basis(n, k):
+    """Orthonormal real basis (2d x d, stacked coordinates) of the
+    conjugation-symmetric real points of a type-(k,k) slice: the
+    fixed space of sigma(c)_(a,b,m) = conj(c_(b,a,m)).  With keys in
+    type_basis order, (a, b) sits at index i = ia*K + ib and its flip at
+    ib*K + ia.  The columns are (e_i + e_flip)/sqrt2 for a > b, e_i for
+    a = b, and (e_{d+i} - e_{d+flip})/sqrt2 for a > b."""
+    K = len(mons(n, k))
+    d = K * K
+    ia, ib = np.triu_indices(K, 1)  # a > b: mons is in descending lex order
+    i, flip, h = ia * K + ib, ib * K + ia, len(ia)
+    pairs = np.arange(h)
+    P = np.zeros((2 * d, d))
+    P[i, pairs] = P[flip, pairs] = np.sqrt(0.5)
+    P[np.arange(K) * (K + 1), h + np.arange(K)] = 1.0
+    P[d + i, h + K + pairs] = np.sqrt(0.5)
+    P[d + flip, h + K + pairs] = -np.sqrt(0.5)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +189,28 @@ def normal_slice_real_basis(n, r, R, k, l, m):
     subspace of the type-(k,l), s^m slice; requires k >= l >= 1.
 
     Unlisted types return the full slice; for k = l the basis spans the
-    conjugation-symmetric real points only.
+    conjugation-symmetric real points only.  The module docstring says
+    how the basis is orthonormalized.
     """
     if k < l:
         raise ValueError("use k >= l; the (l,k) part follows by conjugation")
-    keys = type_basis(n, k, l, m)
-    d = len(keys)
     clause = _clause(k, l)
     if clause is None:
-        cols = np.eye(d, dtype=complex)
-    else:
-        trunc = k + l + 2 * m
-        polys = (
-            hermitian_quadric(n, trunc, r=r, s=n - 1 - r),
-            p_R_poly(n, trunc, R),
-            MixedSeries.variable(n, trunc, "z", n),
-            MixedSeries.variable(n, trunc, "zb", n),
-        )
-        cols = np.column_stack([_part_columns(part, n, k, l, m, trunc) for part in clause(*polys)])
-    out = _realize(cols)
-    if k == l:
-        out = 0.5 * (np.eye(2 * d) + _sigma_matrix(keys, n)) @ out
-    return _colspace(out)
+        if k == l:
+            return _sigma_basis(n, k)
+        return np.eye(2 * len(mons(n, k)) * len(mons(n, l)))
+    trunc = k + l + 2 * m
+    polys = (
+        hermitian_quadric(n, trunc, r=r, s=n - 1 - r),
+        p_R_poly(n, trunc, R),
+        MixedSeries.variable(n, trunc, "z", n),
+        MixedSeries.variable(n, trunc, "zb", n),
+    )
+    cols = np.column_stack([_part_columns(part, n, k, l, m, trunc) for part in clause(*polys)])
+    if k != l:
+        return _realize(_colspace(cols))
+    P = _sigma_basis(n, k)
+    return P @ _colspace(P.T @ _realize(cols))
 
 
 def remainder_bases(n, r, R, nu):
@@ -321,27 +338,6 @@ def project_normal(F: MixedSeries, r, R, tol=DEFAULT_TOL):
     F must be real; all type slices are processed.
     """
     return project_onto(F, _fresh_bases(F.n, r, R), tol)
-
-
-def remainder_blocks(n, bases):
-    """Complex coefficient blocks of the remainder space with the slice
-    bases ``bases`` (remainder_bases).
-
-    Yields (keys, C) per type slice (k, l, m): column j of C holds the
-    monomial coefficients, at keys, of the j-th real basis vector of the
-    slice.  For k != l the keys and rows of the conjugate (l, k) slice
-    follow those of the slice itself, so each column is a real series.
-    Entries of modulus <= STORE_TOL are 0.
-    """
-    for (k, l, m), B in bases.items():
-        keys = type_basis(n, k, l, m)
-        d = len(keys)
-        C = B[:d] + 1j * B[d:]
-        C[np.abs(C) <= STORE_TOL] = 0.0
-        if k != l:
-            keys = keys + [key[n : 2 * n] + key[:n] + (m,) for key in keys]
-            C = np.vstack([C, C.conj()])
-        yield keys, C
 
 
 def normal_space_dim(n, r, R, nu):

@@ -5,9 +5,17 @@ import scipy.sparse
 
 from crnf.series import MixedSeries
 from crnf.fischer import mons, type_basis
-from crnf.hypersurfaces import Hypersurface, model_D, model_hypersurface, sphere
+from crnf.hypersurfaces import (
+    Hypersurface,
+    hermitian_quadric,
+    model_D,
+    model_hypersurface,
+    p_R_poly,
+    sphere,
+)
 from crnf.maps import FormalMap, apply_map
 from crnf.normal_space import (
+    eps_signs,
     is_in_normal_space,
     normal_slice_real_basis,
     project_normal,
@@ -16,8 +24,10 @@ from crnf import full_nf
 from crnf.full_nf import (
     NormalFormError,
     NormalizationP,
+    _LSystem,
     _factor,
     _get_system,
+    _unknown_monomials,
     check_G0,
     detect_model,
     factor_map,
@@ -344,6 +354,66 @@ SPARSE_ORACLE_SYSTEMS = [
 ]
 
 
+def _canonical_rows_ref(n, nu):
+    """Canonical monomial keys at weighted degree nu with a >= b, plus a
+    'self' flag; each key stands for one (a != b: two) real equations."""
+    rows = []
+    for m in range(nu // 2 + 1):
+        d = nu - 2 * m
+        for k in range(d + 1):
+            l = d - k
+            for a in mons(n, k):
+                for b in mons(n, l):
+                    if a > b or a == b:
+                        rows.append((a + b + (m,), a == b))
+    return rows
+
+
+def _map_columns_ref(n, r, R, nu):
+    """The map-unknown columns assembled from series products: for each
+    unknown the series Re(c z^a W) is formed and its coefficients are
+    placed by a dict from keys to rows.  Returns (unknowns, dense
+    matrix)."""
+    row_index, pos = {}, 0
+    for key, selfconj in _canonical_rows_ref(n, nu):
+        row_index[key] = (pos, selfconj)
+        pos += 1 if selfconj else 2
+    trunc = nu
+    Q = hermitian_quadric(n, trunc, r=r, s=n - 1 - r)
+    pr = p_R_poly(n, trunc, np.asarray(R, dtype=complex))
+    prefix_fn = 2.0 * (
+        pr.conj()
+        + 2.0 * MixedSeries.variable(n, trunc, "z", n) * MixedSeries.variable(n, trunc, "zb", n)
+    )
+    zb = [MixedSeries.variable(n, trunc, "zb", j + 1) for j in range(n)]
+    eps = eps_signs(n, r)
+    svar = MixedSeries.variable(n, trunc, "s")
+    sw = [MixedSeries.constant(n, trunc, 1.0)]
+    for _ in range(nu // 2):
+        sw.append(sw[-1] * (svar + 1j * Q))
+    columns, unknowns = [], []
+    for slot, comp, a, j, parts in _unknown_monomials(n, nu):
+        za = MixedSeries.monomial(n, trunc, a, (0,) * n, 0)
+        if slot == "fp":
+            base = (2.0 * eps[comp]) * (za * zb[comp]) * sw[j]
+        elif slot == "fn":
+            base = prefix_fn * za * sw[j]
+        else:
+            base = 1j * (za * sw[j])
+        for part in parts:
+            term = (base if part == "x" else 1j * base).re_part()
+            col = np.zeros(pos)
+            for key, v in term.coeffs.items():
+                if key[:n] >= key[n : 2 * n]:
+                    p, selfconj = row_index[key]
+                    col[p] = v.real
+                    if not selfconj:
+                        col[p + 1] = v.imag
+            columns.append(col)
+            unknowns.append((slot, comp, a, j, part))
+    return unknowns, np.column_stack(columns)
+
+
 class TestGradedSystem:
     def test_zero_column_is_singular(self):
         A = _with_singular_values(np.logspace(0, -2, 12)).toarray()
@@ -518,3 +588,37 @@ class TestFactorMap:
         assert np.max(np.abs(P2.d2 - P.d2)) < 1e-10
         recomposed = T2.compose(P2.to_map(trunc, n - 1))
         assert recomposed.distance(Phi) < 1e-9
+
+
+@pytest.mark.parametrize("n, lam, nu, r", SPARSE_ORACLE_SYSTEMS)
+def test_map_columns_match_the_series_product_assembly(n, lam, nu, r):
+    sys_ = _LSystem(n, r, np.diag(lam), nu)
+    unknowns, ref = _map_columns_ref(n, r, np.diag(lam), nu)
+    assert sys_.unknowns == unknowns
+    k0 = len(unknowns)
+    A = sys_.mat[:, :k0].toarray()
+    assert A.shape == ref.shape
+    assert np.abs(A - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_system_does_not_depend_on_which_nearby_R_came_first(monkeypatch):
+    """Two R equal to 14 decimals share a cache entry; the system built
+    for it is the same whichever of them is asked for first."""
+    n, r, nu = 3, 2, 6
+    R1 = np.diag([1.0, 0.41])
+    R2 = R1.copy()
+    R2[1, 1] += 3.3e-16
+    monkeypatch.setattr(full_nf, "_SYSTEM_CACHE", {})
+    built = []
+    for first, second in ((R1, R2), (R2, R1)):
+        full_nf._SYSTEM_CACHE.clear()
+        sys_ = _get_system(n, r, first, nu)
+        assert _get_system(n, r, second, nu) is sys_
+        built.append(sys_)
+    a, b = built
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a.mat, attr), getattr(b.mat, attr))
+    assert a.bases.keys() == b.bases.keys()
+    for klm in a.bases:
+        assert np.array_equal(a.bases[klm], b.bases[klm]), klm
+    assert (a.sigma_min, a.sigma_max) == (b.sigma_min, b.sigma_max)

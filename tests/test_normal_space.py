@@ -9,7 +9,7 @@ from crnf.normal_space import (
     S_R_apply,
     _colspace,
     _realize,
-    _sigma_matrix,
+    _sigma_basis,
     bilinear_laplacian,
     eps_signs,
     is_in_normal_space,
@@ -196,6 +196,20 @@ def _times_ref(q, src, basis, n, trunc):
     return op_matrix(lambda e: q * e, src, basis, n, trunc)
 
 
+def _sigma_matrix(basis, n):
+    """Conjugate-flip involution on a self-conjugate (k,k) slice, in
+    stacked real coordinates: sigma(c)_(a,b,m) = conj(c_(b,a,m))."""
+    d = len(basis)
+    index = {key: i for i, key in enumerate(basis)}
+    S = np.zeros((2 * d, 2 * d))
+    for i, key in enumerate(basis):
+        a, b, m = key[:n], key[n : 2 * n], key[2 * n]
+        j = index[b + a + (m,)]
+        S[j, i] = 1.0
+        S[d + j, d + i] = -1.0
+    return S
+
+
 def _slice_basis_ref(n, r, R, k, l, m):
     trunc = k + l + 2 * m
     basis = type_basis(n, k, l, m)
@@ -290,3 +304,36 @@ def test_33_clause_real_points_have_its_complex_dimension():
     C = B[: len(keys)] + 1j * B[len(keys) :]
     assert B.shape[1] == V.shape[1] < len(keys)
     assert np.abs(C - V @ (V.conj().T @ C)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 3), (3, 2), (4, 3)])
+def test_sigma_basis_spans_the_symmetric_real_points(n, k):
+    """P P^t is the projector (I + S)/2 onto the fixed points of the
+    conjugate flip S, and P has orthonormal columns."""
+    P = _sigma_basis(n, k)
+    d = len(mons(n, k)) ** 2
+    S = _sigma_matrix(type_basis(n, k, k, 1), n)
+    assert P.shape == (2 * d, d)
+    assert np.abs(P @ P.T - 0.5 * (np.eye(2 * d) + S)).max() <= 1e-15
+    assert np.abs(P.T @ P - np.eye(d)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,r,lam,top", _SPAN_GRID)
+def test_slice_bases_are_orthonormal(n, r, lam, top):
+    R = np.diag(lam)
+    for nu in range(4, top + 1):
+        for klm, B in remainder_bases(n, r, R, nu).items():
+            assert np.abs(B.T @ B - np.eye(B.shape[1])).max(initial=0.0) <= 1e-12, (nu, klm)
+
+
+@pytest.mark.parametrize("r", [3, 1])
+@pytest.mark.parametrize("nu", [6, 7])
+def test_large_n4_slices_span_the_hand_written_clauses(nu, r):
+    """The n = 4 slices at nu = 6, 7: the unlisted (4,3,0) and (5,2,0),
+    where the basis is the identity, and the listed (3,3,0) and (4,2,0),
+    orthonormalized in sigma coordinates or as complex columns."""
+    R = np.diag([1.0, 0.41, 0.72])
+    for (k, l, m), B in remainder_bases(4, r, R, nu).items():
+        ref = _slice_basis_ref(4, r, R, k, l, m)
+        assert B.shape == ref.shape, (k, l, m)
+        assert np.abs(B @ B.T - ref @ ref.T).max(initial=0.0) <= 1e-12, (k, l, m)
